@@ -41,10 +41,19 @@ pub struct Montgomery {
     one: Vec<u64>,
 }
 
-/// Exponent bit length at which [`Montgomery::pow`] switches from a
-/// 4-bit to a 5-bit fixed window (the larger table pays off once the
-/// squaring chain is long enough).
-const WIDE_WINDOW_BITS: usize = 512;
+/// Sliding-window width of [`Montgomery::pow`] for an exponent of
+/// `exp_bits` bits: the width `w` minimising the `2^(w-1)` table
+/// multiplications plus the expected `exp_bits / (w + 1)` window ones.
+fn window_bits(exp_bits: usize) -> usize {
+    match exp_bits {
+        0..=12 => 1,
+        13..=24 => 2,
+        25..=80 => 3,
+        81..=240 => 4,
+        241..=672 => 5,
+        _ => 6,
+    }
+}
 
 impl Montgomery {
     /// Builds a context for an odd modulus greater than one.
@@ -238,60 +247,73 @@ impl Montgomery {
         }
     }
 
-    /// Modular exponentiation `base^exp mod n` using a fixed window of 4
-    /// or 5 bits (chosen by exponent length).
+    /// Modular exponentiation `base^exp mod n` by sliding windows over a
+    /// table of odd powers, the window width chosen by exponent length.
     ///
     /// `base` need not be reduced. All intermediate state lives in a
-    /// handful of buffers allocated once per call.
+    /// handful of buffers allocated once per call. A base that reduces to
+    /// 0 or 1 is its own power and returns at once: the protocol hashes
+    /// the empty multiset (the value 1) on most exchanges.
     pub fn pow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one() % &self.n;
         }
         let base_red = base % &self.n;
-        if exp.is_one() {
+        if exp.is_one() || base_red.is_zero() || base_red.is_one() {
             return base_red;
         }
         let k = self.k;
         let bits = exp.bit_len();
-        let w = if bits >= WIDE_WINDOW_BITS { 5 } else { 4 };
-        let rows = 1usize << w;
+        let w = window_bits(bits);
+        let rows = 1usize << (w - 1);
 
         let mut t = vec![0u64; k + 2];
         let mut tmp = vec![0u64; k];
 
-        // table[i] = base^i in Montgomery form, as rows of a flat buffer.
+        // table[i] = base^(2i+1) in Montgomery form, as rows of a flat
+        // buffer: a window ends on a set bit, so only odd powers occur.
         let mut table = vec![0u64; rows * k];
-        table[..k].copy_from_slice(&self.one);
         let base_p = pad_to(&base_red, k);
-        {
-            let (row0, row1) = table.split_at_mut(k);
-            let _ = row0;
-            self.mont_mul_slices(&base_p, &self.r2, &mut row1[..k], &mut t);
-        }
-        for i in 2..rows {
-            let (prev, cur) = table.split_at_mut(i * k);
-            let base_m = &prev[k..2 * k];
-            let row = &prev[(i - 1) * k..];
-            // Split again to appease aliasing: multiply prev row by base_m.
-            self.mont_mul_slices(row, base_m, &mut cur[..k], &mut t);
+        self.mont_mul_slices(&base_p, &self.r2, &mut table[..k], &mut t);
+        if rows > 1 {
+            let mut base_sq = vec![0u64; k];
+            self.mont_mul_slices(&table[..k], &table[..k], &mut base_sq, &mut t);
+            for i in 1..rows {
+                let (prev, cur) = table.split_at_mut(i * k);
+                self.mont_mul_slices(&prev[(i - 1) * k..], &base_sq, &mut cur[..k], &mut t);
+            }
         }
 
-        // Seed the accumulator with the top window (skips w leading squares).
-        let windows = bits.div_ceil(w);
-        let top = window_value(exp, (windows - 1) * w, w);
-        debug_assert!(top != 0, "top window contains the most significant bit");
-        let mut acc = table[top * k..(top + 1) * k].to_vec();
-
-        for wi in (0..windows - 1).rev() {
-            for _ in 0..w {
+        // Scan down from the top bit (`hi` bits remain): a clear bit
+        // squares; a set bit opens a window of up to w bits that ends on
+        // a set bit. The top bit is set, so the first step seeds `acc`
+        // from the table (skipping that window's squarings) before any
+        // clear bit is met.
+        let mut acc: Vec<u64> = Vec::new();
+        let mut hi = bits;
+        while hi > 0 {
+            if !exp.bit(hi - 1) {
                 self.mont_mul_slices(&acc, &acc, &mut tmp, &mut t);
                 std::mem::swap(&mut acc, &mut tmp);
+                hi -= 1;
+                continue;
             }
-            let val = window_value(exp, wi * w, w);
-            if val != 0 {
-                self.mont_mul_slices(&acc, &table[val * k..(val + 1) * k], &mut tmp, &mut t);
+            let mut lo = hi.saturating_sub(w);
+            while !exp.bit(lo) {
+                lo += 1;
+            }
+            let row = &table[(window_value(exp, lo, hi - lo) >> 1) * k..][..k];
+            if acc.is_empty() {
+                acc = row.to_vec();
+            } else {
+                for _ in lo..hi {
+                    self.mont_mul_slices(&acc, &acc, &mut tmp, &mut t);
+                    std::mem::swap(&mut acc, &mut tmp);
+                }
+                self.mont_mul_slices(&acc, row, &mut tmp, &mut t);
                 std::mem::swap(&mut acc, &mut tmp);
             }
+            hi = lo;
         }
 
         self.redc_out(&acc, &mut tmp, &mut t)
@@ -307,7 +329,7 @@ impl Montgomery {
             return BigUint::one() % &self.n;
         }
         let base_red = base % &self.n;
-        if exp == 1 {
+        if exp == 1 || base_red.is_zero() || base_red.is_one() {
             return base_red;
         }
         let k = self.k;
@@ -439,6 +461,10 @@ impl<'m> MontAccumulator<'m> {
 
     /// The accumulated product, out of Montgomery form.
     pub fn finish(mut self) -> BigUint {
+        if self.debt == 0 && self.acc == self.ctx.one {
+            // Nothing was multiplied in: acc is still R, the product is 1.
+            return BigUint::one();
+        }
         // acc = P · R^(1 - debt); multiplying by R^debt (raw) under one
         // more Montgomery reduction yields P exactly.
         let r_raw = BigUint::from_limbs(self.ctx.one.clone());
@@ -487,7 +513,7 @@ fn window_value(exp: &BigUint, lo: usize, w: usize) -> usize {
 }
 
 /// Computes `-n^{-1} mod 2^64` for odd `n` by Newton's iteration.
-fn neg_inv_u64(n: u64) -> u64 {
+pub(crate) fn neg_inv_u64(n: u64) -> u64 {
     debug_assert!(n & 1 == 1);
     // x converges to n^{-1} mod 2^64 after 6 doublings of precision.
     let mut x = n; // correct mod 2^3 already for odd n? start with n works mod 2^2
@@ -588,10 +614,10 @@ mod tests {
 
     #[test]
     fn pow_wide_window_path() {
-        // Exponent above WIDE_WINDOW_BITS exercises the 5-bit window.
+        // A 526-bit exponent takes the 5-bit window.
         let m = BigUint::from_hex_str("f000000000000000000000000000000d").unwrap();
         let ctx = Montgomery::new(&m).unwrap();
-        let mut exp = BigUint::one().shl_bits(WIDE_WINDOW_BITS + 13);
+        let mut exp = BigUint::one().shl_bits(525);
         exp = &exp + &BigUint::from(0x1234_5678_9abc_def1u64);
         let base = BigUint::from(0xdead_beefu64);
         assert_eq!(ctx.pow(&base, &exp), base.mod_pow(&exp, &m));

@@ -12,12 +12,13 @@
 //! one fewer) random value here would silently reshuffle every
 //! downstream gossip topology. The word-sized fast paths therefore
 //! mirror the multi-limb control flow draw for draw and only change the
-//! *arithmetic* (u64/u128 instead of allocated `BigUint`s); the
-//! `fast_paths_preserve_rng_stream` test pins this.
+//! *arithmetic* (a word-sized Montgomery multiply instead of allocated
+//! `BigUint`s); the `fast_paths_preserve_rng_stream` test pins this.
 
 use rand::Rng;
 use std::sync::OnceLock;
 
+use crate::montgomery::neg_inv_u64;
 use crate::random::random_bits;
 use crate::{BigUint, Montgomery};
 
@@ -47,6 +48,19 @@ fn small_primes() -> &'static [u64] {
     })
 }
 
+/// `(p^{-1} mod 2^64, ⌊(2^64 - 1) / p⌋)` for every odd sieve prime: a
+/// word `v` is a multiple of `p` exactly when `v · p^{-1} mod 2^64` does
+/// not exceed the bound — one multiplication per prime, no division.
+fn odd_prime_multiples() -> &'static [(u64, u64)] {
+    static TABLE: OnceLock<Vec<(u64, u64)>> = OnceLock::new();
+    TABLE.get_or_init(|| {
+        small_primes()[1..]
+            .iter()
+            .map(|&p| (neg_inv_u64(p).wrapping_neg(), u64::MAX / p))
+            .collect()
+    })
+}
+
 /// `n mod m` for a word-sized modulus, folding limbs without allocating.
 fn rem_u64(n: &BigUint, m: u64) -> u64 {
     let mut r: u128 = 0;
@@ -56,21 +70,59 @@ fn rem_u64(n: &BigUint, m: u64) -> u64 {
     r as u64
 }
 
-fn mul_mod_u64(a: u64, b: u64, m: u64) -> u64 {
-    ((a as u128 * b as u128) % m as u128) as u64
+/// Montgomery arithmetic modulo an odd word `n` with `R = 2^64`: a
+/// product costs three word multiplications and no division (the
+/// `u128 % u64` it replaces is a library call, `__umodti3`).
+struct MontU64 {
+    n: u64,
+    /// `n^{-1} mod 2^64`.
+    n_inv: u64,
+    /// `R mod n`: the Montgomery form of 1.
+    one: u64,
+    /// `R^2 mod n`: multiplying by it converts into Montgomery form.
+    r2: u64,
 }
 
-fn pow_mod_u64(mut base: u64, mut exp: u64, m: u64) -> u64 {
-    let mut acc = 1 % m;
-    base %= m;
-    while exp > 0 {
-        if exp & 1 == 1 {
-            acc = mul_mod_u64(acc, base, m);
+impl MontU64 {
+    /// Context for an odd `n > 1`. Two divisions, once per modulus.
+    fn new(n: u64) -> Self {
+        debug_assert!(n & 1 == 1 && n > 1);
+        let one = n.wrapping_neg() % n; // 2^64 - n ≡ 2^64 (mod n)
+        MontU64 {
+            n,
+            n_inv: neg_inv_u64(n).wrapping_neg(),
+            one,
+            r2: ((one as u128 * one as u128) % n as u128) as u64,
         }
-        base = mul_mod_u64(base, base, m);
-        exp >>= 1;
     }
-    acc
+
+    /// `a · b · R^{-1} mod n` for `a, b < n`.
+    fn mul(&self, a: u64, b: u64) -> u64 {
+        let t = a as u128 * b as u128;
+        let m = (t as u64).wrapping_mul(self.n_inv);
+        // t and m·n agree in the low word, so (t - m·n) / R is the
+        // difference of the high words: in (-n, n), fixed up by one add.
+        let t_hi = (t >> 64) as u64;
+        let mn_hi = ((m as u128 * self.n as u128) >> 64) as u64;
+        if t_hi >= mn_hi {
+            t_hi - mn_hi
+        } else {
+            t_hi.wrapping_sub(mn_hi).wrapping_add(self.n)
+        }
+    }
+
+    /// `base^exp` with `base` and the result in Montgomery form.
+    fn pow(&self, mut base: u64, mut exp: u64) -> u64 {
+        let mut acc = self.one;
+        while exp > 0 {
+            if exp & 1 == 1 {
+                acc = self.mul(acc, base);
+            }
+            base = self.mul(base, base);
+            exp >>= 1;
+        }
+        acc
+    }
 }
 
 impl BigUint {
@@ -99,7 +151,10 @@ impl BigUint {
             if v & 1 == 0 {
                 return false;
             }
-            if small_primes().iter().any(|&p| v % p == 0) {
+            if odd_prime_multiples()
+                .iter()
+                .any(|&(inv, bound)| v.wrapping_mul(inv) <= bound)
+            {
                 return false;
             }
             return miller_rabin_u64(v, rounds, rng);
@@ -160,12 +215,14 @@ fn miller_rabin<R: Rng + ?Sized>(n: &BigUint, rounds: usize, rng: &mut R) -> boo
 
 /// [`miller_rabin`] for word-sized `n`: identical witness draws (one
 /// `u64` per `random_bits` call at these widths, same rejection bounds),
-/// identical accept/reject decisions, u128 arithmetic.
+/// identical accept/reject decisions. The squaring chain stays in
+/// Montgomery form, where 1 and `n - 1` are `one` and `n - one`.
 fn miller_rabin_u64<R: Rng + ?Sized>(n: u64, rounds: usize, rng: &mut R) -> bool {
     let bits = 64 - n.leading_zeros() as usize;
-    let n_minus_1 = n - 1;
-    let s = n_minus_1.trailing_zeros();
-    let d = n_minus_1 >> s;
+    let s = (n - 1).trailing_zeros();
+    let d = (n - 1) >> s;
+    let ctx = MontU64::new(n);
+    let minus_one = n - ctx.one;
 
     'witness: for _ in 0..rounds {
         // Mirrors `random_bits(rng, bits)` for bits in (28, 64]: one limb
@@ -176,13 +233,13 @@ fn miller_rabin_u64<R: Rng + ?Sized>(n: u64, rounds: usize, rng: &mut R) -> bool
                 break cand;
             }
         };
-        let mut x = pow_mod_u64(a, d, n);
-        if x == 1 || x == n_minus_1 {
+        let mut x = ctx.pow(ctx.mul(a, ctx.r2), d);
+        if x == ctx.one || x == minus_one {
             continue 'witness;
         }
         for _ in 0..s - 1 {
-            x = mul_mod_u64(x, x, n);
-            if x == n_minus_1 {
+            x = ctx.mul(x, x);
+            if x == minus_one {
                 continue 'witness;
             }
         }
@@ -363,6 +420,41 @@ mod tests {
                 "verdict diverged for {v}"
             );
             assert_eq!(a.random::<u128>(), b.random::<u128>(), "draws diverged for {v}");
+        }
+    }
+
+    #[test]
+    fn word_montgomery_matches_u128_reduction() {
+        // Moduli at both ends of the fast path's range (just above the
+        // sieve's square, and where t_hi - mn_hi wraps) plus random ones.
+        let mut r = rng();
+        let mut moduli = vec![(1u64 << 28) + 1, u64::MAX, u64::MAX - 58, (1 << 63) + 1];
+        moduli.extend((0..20).map(|_| r.random::<u64>() | 1 | (1 << 40)));
+        for n in moduli {
+            let ctx = MontU64::new(n);
+            let out = |x_m: u64| ctx.mul(x_m, 1); // leave Montgomery form
+            assert_eq!(out(ctx.one), 1, "n = {n}");
+            for _ in 0..50 {
+                let (a, b, e) = (r.random::<u64>() % n, r.random::<u64>() % n, r.random::<u64>());
+                let (a_m, b_m) = (ctx.mul(a, ctx.r2), ctx.mul(b, ctx.r2));
+                assert_eq!(out(a_m), a, "round trip, n = {n}");
+                let prod = ((a as u128 * b as u128) % n as u128) as u64;
+                assert_eq!(out(ctx.mul(a_m, b_m)), prod, "{a} * {b} mod {n}");
+                let pow = BigUint::from(a).mod_pow_naive(&BigUint::from(e), &BigUint::from(n));
+                assert_eq!(Some(out(ctx.pow(a_m, e))), pow.to_u64(), "{a}^{e} mod {n}");
+            }
+        }
+    }
+
+    #[test]
+    fn multiply_by_inverse_sieve_agrees_with_remainder() {
+        let mut r = rng();
+        for (&p, &(inv, bound)) in small_primes()[1..].iter().zip(odd_prime_multiples()) {
+            let top = u64::MAX / p * p; // largest multiple of p in a word
+            let random = r.random::<u64>();
+            for v in [p, 3 * p, top, top - 1, u64::MAX, random, random / p * p] {
+                assert_eq!(v.wrapping_mul(inv) <= bound, v % p == 0, "{v} % {p}");
+            }
         }
     }
 

@@ -260,6 +260,90 @@ proptest! {
     }
 }
 
+/// An odd modulus of exactly `limbs` limbs (top bit set) from random words.
+fn modulus_of_width(words: &[u64], limbs: usize) -> BigUint {
+    let mut m = words[..limbs].to_vec();
+    m[0] |= 1;
+    m[limbs - 1] |= 1 << 63;
+    BigUint::from_limbs(m)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The identity-aware exits and the sliding windows against naive
+    /// square-and-multiply (`mod_pow` itself routes odd moduli through
+    /// `Montgomery::pow`, so it is checked for agreement, not used as the
+    /// reference): the bases the exits single out and their neighbours,
+    /// under exponents on both sides of every window-width boundary, at
+    /// every limb width — the fixed 2/4/8 kernels and the generic loop.
+    #[test]
+    fn pow_edge_bases_and_exponents_at_every_width(
+        words in proptest::collection::vec(any::<u64>(), 10..11),
+        random_base in wide_operand(),
+        e64 in any::<u64>(),
+        e_wide in proptest::collection::vec(any::<u64>(), 8..9),
+    ) {
+        let one = BigUint::one();
+        for limbs in 1..=10usize {
+            let m = modulus_of_width(&words, limbs);
+            let ctx = Montgomery::new(&m).unwrap();
+            prop_assert_eq!(ctx.limb_width(), limbs);
+            let bases = [
+                BigUint::zero(),
+                one.clone(),
+                &m - &one,
+                m.clone(),
+                &m + &one,
+                random_base.clone(),
+            ];
+            let small = [0u64, 1, 2, 65_537, e64 | 1 << 63];
+            let exps = small.iter().map(|&e| BigUint::from(e)).chain([
+                BigUint::from_limbs(e_wide[..3].to_vec()),
+                BigUint::from_limbs(e_wide.clone()),
+            ]);
+            for exp in exps {
+                for base in &bases {
+                    let expected = base.mod_pow_naive(&exp, &m);
+                    prop_assert_eq!(&ctx.pow(base, &exp), &expected, "{} limbs", limbs);
+                    prop_assert_eq!(&base.mod_pow(&exp, &m), &expected);
+                    if let Some(e) = exp.to_u64() {
+                        prop_assert_eq!(&ctx.pow_u64(base, e), &expected, "{} limbs", limbs);
+                    }
+                }
+            }
+        }
+    }
+
+    /// An accumulator nothing was multiplied into, one fed only ones
+    /// (below and above the raw-loop limit of `mul_pow`), and one whose
+    /// only factor took the in-domain path (no `R⁻¹` debt at all).
+    #[test]
+    fn accumulator_identity_cases_at_every_width(
+        words in proptest::collection::vec(any::<u64>(), 10..11),
+        value in wide_operand(),
+        ones in 1u32..40,
+    ) {
+        let one = BigUint::one();
+        for limbs in 1..=10usize {
+            let m = modulus_of_width(&words, limbs);
+            let ctx = Montgomery::new(&m).unwrap();
+            prop_assert!(pag_bignum::MontAccumulator::new(&ctx).finish().is_one());
+
+            let mut acc = pag_bignum::MontAccumulator::new(&ctx);
+            acc.mul(&one);
+            acc.mul_pow(&one, ones);
+            acc.mul_pow(&one, 0);
+            prop_assert!(acc.finish().is_one(), "{} limbs, {} ones", limbs, ones);
+
+            let v = &value % &m;
+            let mut acc = pag_bignum::MontAccumulator::new(&ctx);
+            acc.mul_pow(&v, 17);
+            prop_assert_eq!(acc.finish(), v.mod_pow_naive(&BigUint::from(17u64), &m));
+        }
+    }
+}
+
 /// Edge cases the window scanner must not mishandle.
 #[test]
 fn windowed_pow_edge_cases() {

@@ -580,6 +580,163 @@ mod tests {
         assert_ne!(minted_prime(1), minted_prime(2), "seed changes the draw");
     }
 
+    #[test]
+    fn empty_and_single_update_exchanges_hash_as_before() {
+        // The formula the identity-aware hash path replaced: every part
+        // of every triple, empty or not, is (product mod M)^exp mod M —
+        // spelled out here by plain square-and-multiply, which shares no
+        // code with `Montgomery::pow`.
+        use crate::messages::{HashTriple, MessageBody};
+        use pag_bignum::BigUint;
+        let cfg = PagConfig {
+            stream_rate_kbps: 1.0, // the source injects one update a round
+            ..PagConfig::default()
+        };
+        let shared = SharedContext::new(cfg, 6);
+        let m = shared.params.modulus().clone();
+        let formula = |products: [&BigUint; 3], exp: &BigUint| {
+            let [expiring, fresh, duplicate] = products
+                .map(|p| pag_crypto::HomomorphicHash::from_value((p % &m).mod_pow_naive(exp, &m)));
+            HashTriple { expiring, fresh, duplicate }
+        };
+        let one = BigUint::one();
+        let sends = |effects: &[Effect]| -> Vec<SignedMessage> {
+            effects
+                .iter()
+                .filter_map(|e| match e {
+                    Effect::Send { msg, .. } => Some(msg.clone()),
+                    _ => None,
+                })
+                .collect()
+        };
+
+        // A relay has nothing to forward in round 0 (three empty parts);
+        // the source serves its one fresh update.
+        for (sender, served_updates) in [(NodeId(3), 0usize), (shared.source(), 1)] {
+            let receiver = shared.topology(0).successors(sender)[0];
+            let mut a = PagEngine::new(sender, Arc::clone(&shared), SelfishStrategy::Honest, 1);
+            let mut b = PagEngine::new(receiver, Arc::clone(&shared), SelfishStrategy::Honest, 2);
+            a.handle(Input::RoundStart(0));
+            b.handle(Input::RoundStart(0));
+
+            // Messages 1-2: b mints the prime of this exchange.
+            let request = shared.sign(sender, MessageBody::KeyRequest { round: 0 });
+            let response = sends(&b.handle(Input::Deliver { from: sender, msg: request }))
+                .into_iter()
+                .find(|msg| matches!(msg.body, MessageBody::KeyResponse { .. }))
+                .expect("key response");
+            let MessageBody::KeyResponse { prime, .. } = response.body.clone() else {
+                unreachable!()
+            };
+
+            // Messages 3-4: a serves and attests under that prime.
+            let served = sends(&a.handle(Input::Deliver { from: receiver, msg: response }));
+            let mut product = one.clone();
+            let mut attestation = None;
+            for msg in &served {
+                match &msg.body {
+                    MessageBody::Serve { fresh, refs, .. } => {
+                        assert_eq!((fresh.len(), refs.len()), (served_updates, 0));
+                        for u in fresh {
+                            product = (&product * &BigUint::from_bytes_be(&u.payload)) % &m;
+                        }
+                    }
+                    MessageBody::Attestation { hashes, .. } => attestation = Some(hashes.clone()),
+                    _ => {}
+                }
+            }
+            assert_eq!(
+                attestation.expect("attestation"),
+                formula([&one, &product, &one], &prime),
+                "attestation of {sender}"
+            );
+
+            // Message 5: b acknowledges under K(-1, a) = 1.
+            let mut replies = Vec::new();
+            for msg in served {
+                replies.extend(sends(&b.handle(Input::Deliver { from: sender, msg })));
+            }
+            let ack = replies
+                .iter()
+                .find_map(|msg| match &msg.body {
+                    MessageBody::Ack { hashes, .. } => Some(hashes.clone()),
+                    _ => None,
+                })
+                .expect("ack");
+            assert_eq!(ack, formula([&one, &product, &one], &one), "ack to {sender}");
+        }
+    }
+
+    /// Feeds the monitor `m` of sender `s` an `AckForward` carrying an
+    /// acknowledgement that successor `h` signed with `fresh` as its
+    /// must-forward hash, runs round 0's evaluation and returns the
+    /// verdicts `m` reached about the `s → h` exchange.
+    fn verdicts_on_forwarded_ack(fresh: pag_bignum::BigUint) -> Vec<Verdict> {
+        use crate::messages::{HashTriple, MessageBody};
+        let shared = SharedContext::new(PagConfig::default(), 12);
+        let s = NodeId(2);
+        let h = shared.topology(0).successors(s)[0];
+        let m = *shared
+            .membership
+            .monitors_of(s, 0)
+            .iter()
+            .find(|&&m| m != h)
+            .expect("a monitor of s other than h");
+        let mut monitor = PagEngine::new(m, Arc::clone(&shared), SelfishStrategy::Honest, 0);
+        let eval_tag = monitor
+            .handle(Input::RoundStart(0))
+            .iter()
+            .find_map(|e| match e {
+                Effect::SetTimer { tag, after_ms } if *after_ms == shared.config.monitor_eval_ms => {
+                    Some(*tag)
+                }
+                _ => None,
+            })
+            .expect("round start arms the evaluation timer");
+
+        let ack = HashTriple {
+            fresh: pag_crypto::HomomorphicHash::from_value(fresh),
+            ..HashTriple::identity(&shared.params)
+        };
+        let ack_sig = shared
+            .sign(h, MessageBody::Ack { round: 0, hashes: ack.clone() })
+            .sig;
+        let forward = shared.sign(
+            h,
+            MessageBody::AckForward { round: 0, sender: s, receiver: h, ack, ack_sig },
+        );
+        monitor.handle(Input::Deliver { from: h, msg: forward });
+        monitor.handle(Input::TimerFired { tag: eval_tag });
+        monitor
+            .verdicts()
+            .iter()
+            .filter(|v| matches!(v.fault, crate::verdict::Fault::WrongForward { successor } if successor == h))
+            .cloned()
+            .collect()
+    }
+
+    #[test]
+    fn out_of_range_ack_hash_is_judged_not_fatal() {
+        // A roster member may sign an Ack whose hash field holds any
+        // `wire.hash`-byte value, including one >= M. It used to reach
+        // `Montgomery::mul_mod`'s range assert through
+        // `HashTriple::combined` and kill the evaluating monitor.
+        let modulus = SharedContext::new(PagConfig::default(), 12)
+            .params
+            .modulus()
+            .clone();
+        let two = pag_bignum::BigUint::from(2u64);
+        // s received nothing before round 0, so it owes the identity.
+        // M + 1 is congruent to it: the monitor must not convict the
+        // honest sender over h's malformed encoding …
+        let congruent = verdicts_on_forwarded_ack(&modulus + &pag_bignum::BigUint::one());
+        assert!(congruent.is_empty(), "honest sender convicted: {congruent:?}");
+        // … and M + 2 is a wrong ack, judged exactly as the in-range 2.
+        let hostile = verdicts_on_forwarded_ack(&modulus + &two);
+        assert_eq!(hostile, verdicts_on_forwarded_ack(two));
+        assert_eq!(hostile.len(), 1, "one wrong-forward finding: {hostile:?}");
+    }
+
     /// A six-member context with one registered joiner (node 100).
     fn shared_with_joiner() -> Arc<SharedContext> {
         let cfg = PagConfig {

@@ -53,11 +53,11 @@ pub struct HashTriple {
 impl HashTriple {
     /// The identity triple (hash of the empty set in all parts).
     pub fn identity(params: &HomomorphicParams) -> Self {
-        let one = HomomorphicHash::from_value(BigUint::one() % params.modulus());
+        let one = params.identity();
         HashTriple {
             expiring: one.clone(),
             fresh: one.clone(),
-            duplicate: one,
+            duplicate: one.clone(),
         }
     }
 

@@ -208,7 +208,7 @@ impl MonitorEngine {
         let entry = self
             .obligation
             .entry((node, serve_round))
-            .or_insert_with(|| HashTriple::identity(&shared.params).fresh);
+            .or_insert_with(|| shared.params.identity().clone());
         *entry = shared.params.combine(entry, value);
     }
 
@@ -224,7 +224,7 @@ impl MonitorEngine {
                 return h.clone();
             }
         }
-        HashTriple::identity(&shared.params).fresh
+        shared.params.identity().clone()
     }
 
     /// Handles message 6 (ack copy) from watched node `from`.

@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use pag_bignum::{gen_prime, BigUint, MontAccumulator};
-use pag_crypto::{HomomorphicHash, HomomorphicParams, Signature};
+use pag_crypto::{HomomorphicParams, Signature};
 use pag_membership::{LeaveError, Membership, NodeId};
 
 use crate::engine::{EngineCtx, MetricEvent};
@@ -111,30 +111,34 @@ struct SaItem {
 /// Running `[expiring, fresh, duplicate]` multiset product in the
 /// homomorphic modulus, built on the params' cached Montgomery context
 /// (no divisions, scratch reused across factors).
+///
+/// Most exchanges leave one or two parts empty: a slot gets its
+/// accumulator at the first factor, and an untouched slot finishes as
+/// the cached identity without ever building one.
 struct TripleProduct<'m> {
-    slots: [MontAccumulator<'m>; 3],
+    params: &'m HomomorphicParams,
+    slots: [Option<MontAccumulator<'m>>; 3],
 }
 
 impl<'m> TripleProduct<'m> {
     fn new(params: &'m HomomorphicParams) -> Self {
-        let mont = params.montgomery();
         TripleProduct {
-            slots: [
-                MontAccumulator::new(mont),
-                MontAccumulator::new(mont),
-                MontAccumulator::new(mont),
-            ],
+            params,
+            slots: [None, None, None],
         }
     }
 
     /// Multiplies `residue^count` into slot `slot`.
     fn mul(&mut self, slot: usize, residue: &BigUint, count: u32) {
-        self.slots[slot].mul_pow(residue, count);
+        self.slots[slot]
+            .get_or_insert_with(|| MontAccumulator::new(self.params.montgomery()))
+            .mul_pow(residue, count);
     }
 
     fn finish(self) -> [BigUint; 3] {
-        let [e, f, d] = self.slots;
-        [e.finish(), f.finish(), d.finish()]
+        let one = self.params.identity().value();
+        self.slots
+            .map(|slot| slot.map_or_else(|| one.clone(), MontAccumulator::finish))
     }
 }
 
@@ -575,11 +579,8 @@ impl PagNode {
                 .multiset_product(injected.iter().map(|item| (&*item.residue, item.count)));
             sa.extend(injected);
             let (k_prev, _) = self.k_prev_for_serve(round);
-            let prods = [
-                BigUint::one() % self.shared.params.modulus(),
-                fresh_prod,
-                BigUint::one() % self.shared.params.modulus(),
-            ];
+            let one = self.shared.params.identity().value();
+            let prods = [one.clone(), fresh_prod, one.clone()];
             let hashes = self.hash_triple(&prods, &k_prev);
             let monitors = self.view.monitors_of(self.id, round);
             for m in monitors {
@@ -1116,12 +1117,9 @@ impl PagNode {
             let (k, _) = self.k_of_round(round);
             self.metrics.ops.hashes += 1;
             let value = self.shared.params.hash_residue(&prod, &k);
-            let identity =
-                HomomorphicHash::from_value(BigUint::one() % self.shared.params.modulus());
             let triple = HashTriple {
-                expiring: identity.clone(),
                 fresh: value,
-                duplicate: identity,
+                ..HashTriple::identity(&self.shared.params)
             };
             let monitors = self.view_for(round).monitors_of(self.id, round);
             for m in monitors {

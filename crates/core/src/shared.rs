@@ -34,25 +34,19 @@ pub enum NodeSigner {
 }
 
 impl NodeSigner {
-    fn derive(seed: u64, node: NodeId, rsa_bits: usize, real: bool, sig_len: usize) -> Self {
-        let node_seed = seed ^ pag_membership::mix(node.value() as u64 | 0x5160_0000_0000);
-        if real {
-            NodeSigner::Rsa(Box::new(Keyring::from_seed(
-                node_seed,
-                rsa_bits,
-                SigningMode::Rsa,
-            )))
-        } else {
-            let mut secret = [0u8; 32];
-            let mut h = Sha256::new();
-            h.update(&node_seed.to_be_bytes());
-            h.update(b"pag-node-signer");
-            secret.copy_from_slice(&h.finalize());
-            NodeSigner::Mac {
-                secret,
-                len: sig_len,
-            }
-        }
+    /// Per-node seed all of a node's key material derives from.
+    fn node_seed(session: u64, node: NodeId) -> u64 {
+        session ^ pag_membership::mix(node.value() as u64 | 0x5160_0000_0000)
+    }
+
+    /// Keyed-hash signer: derives in microseconds.
+    fn derive_mac(session: u64, node: NodeId, len: usize) -> Self {
+        let mut secret = [0u8; 32];
+        let mut h = Sha256::new();
+        h.update(&Self::node_seed(session, node).to_be_bytes());
+        h.update(b"pag-node-signer");
+        secret.copy_from_slice(&h.finalize());
+        NodeSigner::Mac { secret, len }
     }
 
     /// Signs a byte string.
@@ -156,23 +150,32 @@ impl SharedContext {
     ) -> Arc<Self> {
         let mut rng = StdRng::seed_from_u64(config.session_id ^ 0x9A6_0000);
         let params = HomomorphicParams::generate(config.crypto.homomorphic_bits, &mut rng);
-        let signers = membership
+        let roster: Vec<NodeId> = membership
             .nodes()
             .iter()
             .chain(joiners.iter())
-            .map(|&id| {
-                (
-                    id,
-                    NodeSigner::derive(
-                        config.session_id,
-                        id,
-                        config.crypto.rsa_bits,
-                        config.crypto.real_signatures,
-                        config.wire.signature,
-                    ),
-                )
-            })
+            .copied()
             .collect();
+        let session = config.session_id;
+        let signers = if config.crypto.real_signatures {
+            // RSA keygen is milliseconds per node and a pure function of
+            // the node seed: derive the roster in bulk, in parallel.
+            let seeds: Vec<u64> = roster
+                .iter()
+                .map(|&id| NodeSigner::node_seed(session, id))
+                .collect();
+            let keyrings = Keyring::from_seeds(&seeds, config.crypto.rsa_bits, SigningMode::Rsa);
+            roster
+                .iter()
+                .zip(keyrings)
+                .map(|(&id, kr)| (id, NodeSigner::Rsa(Box::new(kr))))
+                .collect()
+        } else {
+            roster
+                .iter()
+                .map(|&id| (id, NodeSigner::derive_mac(session, id, config.wire.signature)))
+                .collect()
+        };
         Arc::new(SharedContext {
             config,
             params,

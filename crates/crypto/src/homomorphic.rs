@@ -13,6 +13,8 @@
 //! `H(∪S_j)_(K(R,B),M)` with `K(R,B) = Π_j p_j` — without ever learning
 //! the updates or the individual primes (§V-B/C).
 
+use std::borrow::Cow;
+
 use pag_bignum::{gen_prime, BigUint, MontAccumulator, Montgomery};
 use rand::Rng;
 
@@ -48,6 +50,8 @@ pub struct HomomorphicParams {
     modulus: BigUint,
     mont: Montgomery,
     bits: usize,
+    /// The value 1: hash of the empty multiset under every exponent.
+    identity: HomomorphicHash,
 }
 
 /// A homomorphic hash value: an element of `Z_M`.
@@ -59,8 +63,9 @@ pub struct HomomorphicHash {
 impl HomomorphicHash {
     /// Reconstructs a hash received from the network.
     ///
-    /// No reduction is performed; callers exchange values already in
-    /// `Z_M`.
+    /// No reduction is performed, so a hostile peer can put a value
+    /// `>= M` here; [`HomomorphicParams::combine`] and
+    /// [`HomomorphicParams::raise`] reduce their operands.
     pub fn from_value(value: BigUint) -> Self {
         HomomorphicHash { value }
     }
@@ -107,6 +112,9 @@ impl HomomorphicParams {
             modulus,
             mont,
             bits,
+            identity: HomomorphicHash {
+                value: BigUint::one(),
+            },
         })
     }
 
@@ -122,6 +130,16 @@ impl HomomorphicParams {
     /// context the hash exponentiations use.
     pub fn montgomery(&self) -> &Montgomery {
         &self.mont
+    }
+
+    /// The identity hash: `H(∅) = 1` under every exponent, and the
+    /// neutral element of [`Self::combine`].
+    ///
+    /// PAG hashes every exchange three ways and most parts are empty, so
+    /// the hash path recognises this value instead of computing with it:
+    /// `1^e = 1` and `x·1 = x`.
+    pub fn identity(&self) -> &HomomorphicHash {
+        &self.identity
     }
 
     /// Modulus width in bits.
@@ -164,6 +182,10 @@ impl HomomorphicParams {
     where
         I: IntoIterator<Item = (&'a BigUint, u32)>,
     {
+        let mut parts = parts.into_iter().peekable();
+        if parts.peek().is_none() {
+            return self.identity.clone();
+        }
         self.hash_residue(&self.multiset_product(parts), exp)
     }
 
@@ -198,9 +220,29 @@ impl HomomorphicParams {
 
     /// Combines two hashes under the *same* exponent:
     /// `H(u1)·H(u2) = H(u1·u2)`.
+    ///
+    /// Total: operands come off the wire, so one `>= M` is reduced first
+    /// (as [`Self::raise`] does) rather than trusted. Combining with the
+    /// identity returns the other operand without multiplying.
     pub fn combine(&self, a: &HomomorphicHash, b: &HomomorphicHash) -> HomomorphicHash {
-        HomomorphicHash {
-            value: self.mont.mul_mod(&a.value, &b.value),
+        let a = self.reduced(&a.value);
+        let b = self.reduced(&b.value);
+        let value = if a.is_one() {
+            b.into_owned()
+        } else if b.is_one() {
+            a.into_owned()
+        } else {
+            self.mont.mul_mod(&a, &b)
+        };
+        HomomorphicHash { value }
+    }
+
+    /// `v mod M`, borrowing when `v` is already reduced.
+    fn reduced<'a>(&self, v: &'a BigUint) -> Cow<'a, BigUint> {
+        if v < &self.modulus {
+            Cow::Borrowed(v)
+        } else {
+            Cow::Owned(v % &self.modulus)
         }
     }
 
@@ -211,9 +253,7 @@ impl HomomorphicParams {
     where
         I: IntoIterator<Item = &'a HomomorphicHash>,
     {
-        let mut acc = HomomorphicHash {
-            value: BigUint::one() % &self.modulus,
-        };
+        let mut acc = self.identity.clone();
         for h in hashes {
             acc = self.combine(&acc, h);
         }
@@ -368,6 +408,37 @@ mod tests {
         assert!(empty.value().is_one());
         let id = params.product_residue(std::iter::empty());
         assert!(id.is_one());
+    }
+
+    #[test]
+    fn identity_is_recognised_not_computed() {
+        let (params, mut rng) = setup();
+        let id = params.identity().clone();
+        assert!(id.value().is_one());
+        let e = gen_prime(64, &mut rng);
+        let x = params.hash(b"some update", &e);
+        assert_eq!(params.hash_multiset(std::iter::empty(), &e), id);
+        assert_eq!(params.raise(&id, &e), id);
+        assert_eq!(params.combine(&id, &x), x);
+        assert_eq!(params.combine(&x, &id), x);
+        assert_eq!(params.combine_all(std::iter::empty()), id);
+        assert_eq!(params.combine_all([&id, &x, &id]), x);
+    }
+
+    #[test]
+    fn combine_reduces_out_of_range_operands() {
+        // Hash values come off the wire unchecked: `M + 1` and `5M + x`
+        // must behave as 1 and x, not trip Montgomery's range assert.
+        let (params, _) = setup();
+        let m = params.modulus();
+        let id = params.identity().clone();
+        let x = params.hash(b"x", &BigUint::from(3u64));
+        let one_plus_m = HomomorphicHash::from_value(m + &BigUint::one());
+        let x_plus_5m = HomomorphicHash::from_value(&(m * &BigUint::from(5u64)) + x.value());
+        assert_eq!(params.combine(&one_plus_m, &id), id);
+        assert_eq!(params.combine(&id, &x_plus_5m), x);
+        assert_eq!(params.combine(&x_plus_5m, &x), params.combine(&x, &x));
+        assert_eq!(params.combine_all([&x_plus_5m, &one_plus_m]), x);
     }
 
     #[test]

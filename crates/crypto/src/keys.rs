@@ -92,6 +92,36 @@ impl Keyring {
         fresh
     }
 
+    /// [`Self::from_seed`] for a whole roster: one keyring per seed, in
+    /// order, derived on up to `available_parallelism` scoped threads.
+    ///
+    /// Each derivation is a pure function of its seed, so the keys and
+    /// the memo's contents are those the sequential loop produces; only
+    /// the wall clock of a cold thousand-node RSA roster changes.
+    pub fn from_seeds(seeds: &[u64], rsa_bits: usize, mode: SigningMode) -> Vec<Self> {
+        let derive = |part: &[u64]| -> Vec<Self> {
+            part.iter()
+                .map(|&seed| Self::from_seed(seed, rsa_bits, mode))
+                .collect()
+        };
+        let workers = std::thread::available_parallelism()
+            .map_or(1, |n| n.get())
+            .min(seeds.len());
+        if workers <= 1 {
+            return derive(seeds);
+        }
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = seeds
+                .chunks(seeds.len().div_ceil(workers))
+                .map(|part| scope.spawn(move || derive(part)))
+                .collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().expect("key derivation does not panic"))
+                .collect()
+        })
+    }
+
     /// The RSA public key.
     pub fn public(&self) -> &RsaPublicKey {
         self.keypair.public()
@@ -185,6 +215,21 @@ mod tests {
         let b = Keyring::from_seed(4, 512, SigningMode::Fast { fast_len: 64 });
         let sig = a.sign(b"msg");
         assert!(!b.verify_own(b"msg", &sig), "different secret, different tag");
+    }
+
+    #[test]
+    fn bulk_derivation_matches_one_by_one() {
+        let seeds: Vec<u64> = (900..907).collect();
+        let bulk = Keyring::from_seeds(&seeds, 384, SigningMode::Rsa);
+        assert_eq!(bulk.len(), seeds.len());
+        for (kr, &seed) in bulk.iter().zip(&seeds) {
+            // Derived without the memo the bulk call just filled.
+            let single =
+                Keyring::generate(384, SigningMode::Rsa, &mut StdRng::seed_from_u64(seed));
+            assert_eq!(kr.public().modulus(), single.public().modulus());
+            assert_eq!(kr.sign(b"m"), single.sign(b"m"));
+        }
+        assert!(Keyring::from_seeds(&[], 384, SigningMode::Rsa).is_empty());
     }
 
     #[test]

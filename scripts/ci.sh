@@ -60,15 +60,21 @@
 #      pooled, traced, faulted, hosted and model-check scenarios, real
 #      RSA-512 crypto; writes to a scratch path, never over the
 #      committed snapshot)
+#  15. repo benchmark smoke run: builds the standalone `benchmark/`
+#      package against the workspace crates and runs every workload
+#      and both stages at --quick size (8–64 nodes), so a change that
+#      breaks the API surface listed in benchmark/README.md, or an
+#      output check, fails here before it reaches the benchmark
+#      pipeline (reports go to a scratch directory)
 #
 # Run from anywhere: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/14] workspace release build =="
+echo "== [1/15] workspace release build =="
 cargo build --release --workspace
 
-echo "== [2/14] per-crate builds, deny warnings =="
+echo "== [2/15] per-crate builds, deny warnings =="
 # Force only the gated crates themselves to recompile (their
 # dependencies stay cached from step 1 — no RUSTFLAGS flip, no double
 # build) and fail on any warning the fresh compiles print.
@@ -87,10 +93,10 @@ for crate in "${first_party[@]}"; do
     fi
 done
 
-echo "== [3/14] clippy, deny warnings =="
+echo "== [3/15] clippy, deny warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== [4/14] panic-site source lint (pag-runtime, pag-host) =="
+echo "== [4/15] panic-site source lint (pag-runtime, pag-host) =="
 # unwrap() carries no diagnostic; the gated crates use expect() with a
 # message (or structured errors) instead. expect() is allowed but
 # audited: the count may only go down without an explicit bump here.
@@ -108,45 +114,50 @@ if [ "$expects" -gt "$expect_baseline" ]; then
     exit 1
 fi
 
-echo "== [5/14] test suite =="
+echo "== [5/15] test suite =="
 cargo test -q --workspace
 
-echo "== [6/14] model checker: exhaustive exploration + counterexample replay + cross-validation =="
+echo "== [6/15] model checker: exhaustive exploration + counterexample replay + cross-validation =="
 cargo test -q -p pag-model
 cargo test -q -p pag-runtime --test model_replay
 cargo test --release -q -p pag-model --test exhaustive -- --ignored
 
-echo "== [7/14] churned driver equivalence =="
+echo "== [7/15] churned driver equivalence =="
 cargo test -q -p pag-runtime --test driver_equivalence churned
 
-echo "== [8/14] TCP driver equivalence + hostile-input rejection =="
+echo "== [8/15] TCP driver equivalence + hostile-input rejection =="
 cargo test -q -p pag-runtime --test driver_equivalence tcp
 cargo test -q -p pag-runtime --test tcp_transport
 
-echo "== [9/14] worker-pool scheduler: equivalence, properties, 1000-node smoke =="
+echo "== [9/15] worker-pool scheduler: equivalence, properties, 1000-node smoke =="
 cargo test -q -p pag-runtime --test driver_equivalence pool
 cargo test -q -p pag-runtime --test pool_scheduler
 cargo test --release -q -p pag-runtime --test pool_scheduler -- --ignored
 
-echo "== [10/14] pipelined rounds: windowed equivalence + w=0 bit-identity goldens =="
+echo "== [10/15] pipelined rounds: windowed equivalence + w=0 bit-identity goldens =="
 cargo test -q -p pag-runtime --test pipelined
 
-echo "== [11/14] fault scenarios: four-driver equivalence + schedule properties =="
+echo "== [11/15] fault scenarios: four-driver equivalence + schedule properties =="
 cargo test -q -p pag-runtime --test driver_equivalence -- severed_links partition_heal crash_restart
 cargo test -q -p pag-runtime --test faults
 
-echo "== [12/14] pag-host: multi-session equivalence, crash recovery, store hardening =="
+echo "== [12/15] pag-host: multi-session equivalence, crash recovery, store hardening =="
 cargo test -q -p pag-host
 cargo test -q -p pag-runtime --test tcp_transport hostile_handshakes
 
-echo "== [13/14] observability: recorder units, traced bit-identity, sinks =="
+echo "== [13/15] observability: recorder units, traced bit-identity, sinks =="
 cargo test -q -p pag-obs
 cargo test -q -p pag-runtime --test driver_equivalence traced
 cargo test -q -p pag-runtime --test observability
 
-echo "== [14/14] bench snapshot smoke (--quick) =="
+echo "== [14/15] bench snapshot smoke (--quick) =="
 out="${TMPDIR:-/tmp}/pag_bench_quick.json"
 cargo run --release -p pag-bench --bin bench_snapshot -- "$out" --quick
 rm -f "$out"
+
+echo "== [15/15] repo benchmark smoke (--quick) =="
+bench_out="$(mktemp -d "${TMPDIR:-/tmp}/pag_benchmark_quick.XXXXXX")"
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$bench_out"
+rm -rf "$bench_out"
 
 echo "CI OK"
