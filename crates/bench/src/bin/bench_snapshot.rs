@@ -2,10 +2,7 @@
 //! static 20-node / 5-round session, the churned 50-node
 //! `churn_steady_50` session, the same static session on the TCP
 //! socket driver (`tcp_session_20`), the 1000-node worker-pool
-//! session (`pool_session_1000`), the same pooled session under the
-//! PR 10 throughput stack (`pipelined_session_1000`: pipeline window
-//! 2, batched e=65537 verification, frame coalescing; DESIGN.md §16)
-//! plus the `batch_verify` microbenchmark, the pooled session with
+//! session (`pool_session_1000`), the pooled session with
 //! the flight recorder on (`traced_session`), the fault-injected
 //! `faulted_session` (split-brain partition plus a crash-recovery
 //! rejoin), the hosted pair `host_multi_session` (two concurrent
@@ -38,14 +35,10 @@
 
 use std::time::Instant;
 
-use rand::SeedableRng;
-
 use pag_bench::{
-    churn_steady_session, faulted_session, host_session, pipelined_session, pooled_session,
-    quick_mode, real_crypto_session, tcp_session, traced_session,
+    churn_steady_session, faulted_session, host_session, pooled_session, quick_mode,
+    real_crypto_session, tcp_session, traced_session,
 };
-use pag_crypto::signature::{sign, verify, verify_batch};
-use pag_crypto::RsaKeyPair;
 use pag_host::Host;
 use pag_membership::NodeId;
 use pag_model::{explore, Budget, PagMachine, Scenario};
@@ -172,72 +165,11 @@ fn main() {
     assert_eq!(pool_rejected, 0, "clean pooled session rejected frames");
 
     // A second, *warm* pooled run: the cold `pool_ms` above paid the
-    // 1000-node roster keygen that now sits in the keyring cache. Every
-    // later same-roster figure (pipelined, traced) runs warm, so this
-    // is the like-for-like comparator for their derived ratios —
-    // `pool_ms` itself stays cold for comparability with the frozen
-    // history of this entry.
+    // 1000-node roster keygen that now sits in the keyring cache. The
+    // traced run below is warm too, so this is the like-for-like
+    // comparator for its overhead figure — `pool_ms` itself stays cold
+    // for comparability with the frozen history of this entry.
     let (pool_warm_ms, _) = measure(1, || pooled_session(pool_nodes, pool_rounds));
-
-    // The same gossip-scale pooled session with the PR 10 throughput
-    // stack on: round pipelining at window 2, batched e=65537
-    // verification, and same-destination frame coalescing. Crypto ops
-    // must be bit-identical to the unpipelined run — the batching
-    // charges one verification per signed message and the pipeline only
-    // reorders, never skips (assert it) — so the wall-clock ratio is
-    // the stack's whole payoff. The 2× acceptance bar is taken against
-    // the frozen PR 9 `pool_session_1000` baseline recorded in
-    // PERF.md, not against this run's `pool_ms` (the PR 10 bignum
-    // speedups moved both numbers). Best-of-2: the first run right
-    // after the cold pooled session pays one-off allocator growth the
-    // steady-state figure should not carry (the roster keyring cache
-    // is already warm either way, seeded by the pooled run above).
-    let (pipe_ms, piped) = measure(2, || pipelined_session(pool_nodes, pool_rounds));
-    assert!(
-        piped.verdicts.is_empty(),
-        "honest pipelined run convicted; regression: {:?}",
-        piped.verdicts
-    );
-    assert_eq!(
-        piped.total_ops(),
-        pool_ops,
-        "pipelined session diverged from the pooled baseline on crypto ops"
-    );
-    let pipe_rejected: u64 = piped.metrics.values().map(|m| m.frames_rejected).sum();
-    assert_eq!(pipe_rejected, 0, "clean pipelined session rejected frames");
-    let pipe_speedup = pool_warm_ms / pipe_ms;
-
-    // Batched-verification microbenchmark: the same 64 RSA-512
-    // signatures checked one by one and through the shared-Montgomery
-    // product screen of `verify_batch`. Best of `runs` passes each; the
-    // verdicts must agree pair for pair.
-    let mut rng = rand::rngs::StdRng::seed_from_u64(0xBA7C);
-    let kp = RsaKeyPair::generate(512, &mut rng);
-    let batch_msgs: Vec<Vec<u8>> = (0..64u32)
-        .map(|i| format!("bench-batch-verify-{i}").into_bytes())
-        .collect();
-    let batch_sigs: Vec<_> = batch_msgs.iter().map(|m| sign(&kp, m)).collect();
-    let batch_items: Vec<(&[u8], &pag_crypto::signature::Signature)> = batch_msgs
-        .iter()
-        .zip(&batch_sigs)
-        .map(|(m, s)| (m.as_slice(), s))
-        .collect();
-    let mut single_ms = f64::INFINITY;
-    let mut batch_ms = f64::INFINITY;
-    for _ in 0..runs.max(3) {
-        let start = Instant::now();
-        let singly: Vec<bool> = batch_items
-            .iter()
-            .map(|(m, s)| verify(kp.public(), m, s))
-            .collect();
-        single_ms = single_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        let start = Instant::now();
-        let batched = verify_batch(kp.public(), &batch_items);
-        batch_ms = batch_ms.min(start.elapsed().as_secs_f64() * 1e3);
-        assert_eq!(singly, batched, "batched verification changed a verdict");
-        assert!(batched.iter().all(|&ok| ok), "valid signature rejected");
-    }
-    let batch_speedup = single_ms / batch_ms;
 
     // The pooled gossip-scale session once more with the flight
     // recorder on (`TraceConfig::on()`, default rings, no JSONL sink):
@@ -349,7 +281,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": 9,
+  "schema": 10,
   "scenario": {{
     "nodes": {nodes},
     "rounds": {rounds},
@@ -443,38 +375,6 @@ fn main() {
     "derived": {{
       "mean_bandwidth_kbps": {p_bw:.2},
       "exchanges_completed": {p_exchanges}
-    }}
-  }},
-  "pipelined_session_1000": {{
-    "scenario": {{
-      "nodes": {pool_nodes},
-      "rounds": {pool_rounds},
-      "driver": "threaded-lockstep",
-      "scheduler": "pool-auto",
-      "pipeline_window": 2,
-      "batch_verify": true,
-      "coalesce": true,
-      "crypto_ops_identical_to_pooled": true
-    }},
-    "wall_clock_ms": {pipe_ms:.2},
-    "derived": {{
-      "pooled_wall_clock_ms": {pool_warm_ms:.2},
-      "speedup_vs_pooled": {pipe_speedup:.2},
-      "mean_bandwidth_kbps": {pp_bw:.2},
-      "exchanges_completed": {pp_exchanges}
-    }}
-  }},
-  "batch_verify": {{
-    "scenario": {{
-      "signatures": 64,
-      "rsa_bits": 512,
-      "exponent": 65537,
-      "verdicts_identical_to_single": true
-    }},
-    "single_wall_clock_ms": {bv_single:.3},
-    "batch_wall_clock_ms": {bv_batch:.3},
-    "derived": {{
-      "speedup": {bv_speedup:.2}
     }}
   }},
   "traced_session": {{
@@ -577,15 +477,6 @@ fn main() {
             .values()
             .map(|m| m.exchanges_completed)
             .sum::<u64>(),
-        pp_bw = piped.report.mean_bandwidth_kbps(),
-        pp_exchanges = piped
-            .metrics
-            .values()
-            .map(|m| m.exchanges_completed)
-            .sum::<u64>(),
-        bv_single = single_ms,
-        bv_batch = batch_ms,
-        bv_speedup = batch_speedup,
         tr_spans = trace_spans,
         m_ms = model_ms,
         m_states = model_report.states,

@@ -94,26 +94,6 @@ pub fn pooled_session(nodes: usize, rounds: u64) -> SessionConfig {
     sc
 }
 
-/// The frozen throughput-stack scenario behind the
-/// `pipelined_session_1000` entry of `BENCH_protocol.json`: exactly
-/// [`pooled_session`] with the PR 10 overlap stack turned on — round
-/// pipelining at window 2 (round `r + 1`'s exchanges run while round
-/// `r`'s monitoring traffic drains on the deferred ledger lane,
-/// DESIGN.md §16), batched `e = 65537` signature verification (one
-/// shared Montgomery context per sender pair), and same-destination
-/// frame coalescing. Crypto-op totals must stay bit-identical to the
-/// unpipelined pooled session — `bench_snapshot` asserts it, and the
-/// `pipelined` equivalence suite pins verdicts/deliveries per window —
-/// so the wall-clock delta is pure overlap + batching, measured against
-/// the frozen `pool_session_1000` baseline.
-pub fn pipelined_session(nodes: usize, rounds: u64) -> SessionConfig {
-    let mut sc = pooled_session(nodes, rounds);
-    sc.pipeline_window = 2;
-    sc.coalesce = true;
-    sc.pag.batch_verify = true;
-    sc
-}
-
 /// The frozen fault-injection scenario behind the `faulted_session`
 /// entry of `BENCH_protocol.json`: the real-crypto profile of
 /// [`real_crypto_session`] plus a transient split-brain partition over

@@ -74,14 +74,6 @@ pub struct PagConfig {
     pub exhibit_resolve_ms: u64,
     /// Verify message signatures on reception.
     pub verify_signatures: bool,
-    /// Batch the signature checks of exchange parts (`Serve` +
-    /// `Attestation` from the same sender): verification is deferred
-    /// until both parts of the exchange entry are present, then runs
-    /// through the product screen of `pag_crypto::signature::verify_batch`
-    /// under one Montgomery context. Verdicts and processed exchanges
-    /// are unchanged; only the *when* and the cost of verification move.
-    /// Off by default so existing scenarios stay bit-identical.
-    pub batch_verify: bool,
     /// Wire sizes for bandwidth accounting.
     pub wire: WireConfig,
     /// Cryptographic parameters.
@@ -101,7 +93,6 @@ impl Default for PagConfig {
             monitor_eval_ms: 650,
             exhibit_resolve_ms: 900,
             verify_signatures: true,
-            batch_verify: false,
             wire: WireConfig::default(),
             crypto: CryptoProfile::simulation(),
         }

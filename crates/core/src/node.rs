@@ -165,12 +165,6 @@ struct ServedSnapshot {
 struct PendingServe {
     serve: Option<(BigUint, u32, Vec<ServedUpdate>, Vec<ServedRef>)>,
     attestation: Option<HashTriple>,
-    /// `batch_verify` mode: signable bytes + signature of each part,
-    /// held unchecked until the entry completes, then verified together
-    /// under one Montgomery context. `None` in eager mode (the part was
-    /// already verified at delivery).
-    serve_sig: Option<(Vec<u8>, Signature)>,
-    attestation_sig: Option<(Vec<u8>, Signature)>,
 }
 
 /// Kind of a staged membership change. Joins sort before leaves within a
@@ -203,9 +197,9 @@ pub struct PagNode {
     /// next round start.
     staged_churn: BTreeSet<(u64, ChurnStage, NodeId)>,
     /// Per-round pins of `view`, taken at round start after staged churn
-    /// applies. Pipelined drivers deliver monitoring traffic and fire
-    /// round-tagged timers after `view` has advanced past the body's
-    /// round; round-scoped duties (monitor sets, replay topologies) must
+    /// applies. A wall-clock driver can deliver a round's monitoring
+    /// traffic after `view` has advanced past the body's round;
+    /// round-scoped duties (monitor sets, replay topologies) must
     /// resolve against the view that round actually opened under, not
     /// the advanced one. Consecutive unchanged views share one `Arc`, so
     /// churn-free sessions pin a single allocation. Derived state: not
@@ -742,65 +736,23 @@ impl PagNode {
         from: NodeId,
         round: u64,
         part: PendingServePart,
-        deferred: Option<(Vec<u8>, Signature)>,
         ctx: &mut EngineCtx<'_>,
     ) {
         let entry = self.pending_serves.entry((round, from)).or_default();
         match part {
             PendingServePart::Serve(k_prev, factors, fresh, refs) => {
                 entry.serve = Some((k_prev, factors, fresh, refs));
-                entry.serve_sig = deferred;
             }
-            PendingServePart::Attestation(h) => {
-                entry.attestation = Some(h);
-                entry.attestation_sig = deferred;
-            }
+            PendingServePart::Attestation(h) => entry.attestation = Some(h),
         }
         let ready = entry.serve.is_some() && entry.attestation.is_some();
         if !ready {
             return;
         }
-        let mut pending = self
+        let pending = self
             .pending_serves
             .remove(&(round, from))
             .expect("checked present");
-        // Deferred signature checks (batch_verify mode): both parts came
-        // from the same sender, so they verify together under one
-        // Montgomery context. The ops charge matches the eager path —
-        // one verification per signed message.
-        let serve_sig = pending.serve_sig.take();
-        let attestation_sig = pending.attestation_sig.take();
-        if serve_sig.is_some() || attestation_sig.is_some() {
-            let mut items: Vec<(&[u8], &Signature)> = Vec::with_capacity(2);
-            if let Some((bytes, sig)) = &serve_sig {
-                items.push((bytes, sig));
-            }
-            if let Some((bytes, sig)) = &attestation_sig {
-                items.push((bytes, sig));
-            }
-            self.metrics.ops.verifications += items.len() as u64;
-            let verdicts = self.shared.verify_batch(from, &items);
-            let mut v = verdicts.iter().copied();
-            let serve_ok = serve_sig.is_none() || v.next().unwrap_or(false);
-            let attestation_ok = attestation_sig.is_none() || v.next().unwrap_or(false);
-            if !serve_ok || !attestation_ok {
-                // Drop the invalid part(s); a valid sibling returns to
-                // the buffer exactly as if the invalid message had been
-                // rejected at delivery (the eager path's end state).
-                if serve_ok || attestation_ok {
-                    self.pending_serves.insert(
-                        (round, from),
-                        PendingServe {
-                            serve: if serve_ok { pending.serve } else { None },
-                            attestation: if attestation_ok { pending.attestation } else { None },
-                            serve_sig: None,
-                            attestation_sig: None,
-                        },
-                    );
-                }
-                return;
-            }
-        }
         let (k_prev, _factors, fresh, refs) = pending.serve.expect("serve present");
         let attestation = pending.attestation.expect("attestation present");
         self.process_incoming_exchange(from, round, k_prev, fresh, refs, Some(attestation), None, ctx);
@@ -1232,11 +1184,10 @@ impl PagNode {
                 from,
                 round,
                 PendingServePart::Serve(k_prev, k_prev_factors, fresh, refs),
-                None,
                 ctx,
             ),
             MessageBody::Attestation { round, hashes } => {
-                self.handle_serve_part(from, round, PendingServePart::Attestation(hashes), None, ctx)
+                self.handle_serve_part(from, round, PendingServePart::Attestation(hashes), ctx)
             }
             MessageBody::Ack { round, hashes } => self.handle_ack(from, round, hashes, msg.sig),
             MessageBody::SourceDeclare { round, hashes } => {
@@ -1508,45 +1459,6 @@ impl PagNode {
         ctx: &mut EngineCtx<'_>,
     ) {
         if self.shared.config.verify_signatures {
-            if self.shared.config.batch_verify
-                && matches!(
-                    msg.body,
-                    MessageBody::Serve { .. } | MessageBody::Attestation { .. }
-                )
-            {
-                // Exchange parts defer their signature check to the
-                // completion of the (round, sender) entry, where both
-                // parts verify as one batch. Mirror `dispatch`'s
-                // membership gate — the message is otherwise unchecked.
-                if !self.view.contains(self.id) {
-                    return;
-                }
-                let deferred = Some((msg.body.signable_bytes(), msg.sig));
-                match msg.body {
-                    MessageBody::Serve {
-                        round,
-                        k_prev,
-                        k_prev_factors,
-                        fresh,
-                        refs,
-                    } => self.handle_serve_part(
-                        from,
-                        round,
-                        PendingServePart::Serve(k_prev, k_prev_factors, fresh, refs),
-                        deferred,
-                        ctx,
-                    ),
-                    MessageBody::Attestation { round, hashes } => self.handle_serve_part(
-                        from,
-                        round,
-                        PendingServePart::Attestation(hashes),
-                        deferred,
-                        ctx,
-                    ),
-                    _ => unreachable!("matched Serve | Attestation above"),
-                }
-                return;
-            }
             self.metrics.ops.verifications += 1;
             if !self.shared.verify(from, &msg) {
                 return;
@@ -1652,10 +1564,6 @@ impl PagNode {
             if let Some(t) = &ps.attestation {
                 project_triple(p, t);
             }
-            // An unverified buffered part (batch mode) is semantically
-            // distinct from a verified one.
-            p.bool(ps.serve_sig.is_some());
-            p.bool(ps.attestation_sig.is_some());
         }
         p.tag("buffermaps_sent");
         p.count(self.buffermaps_sent.len());

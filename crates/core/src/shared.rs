@@ -74,20 +74,6 @@ impl NodeSigner {
             NodeSigner::Mac { .. } => &self.sign(bytes) == sig,
         }
     }
-
-    /// Verifies a batch of this owner's signatures, one verdict per
-    /// pair. RSA signers share one Montgomery context across the batch
-    /// (product screen with individual fallback); MAC tags have no batch
-    /// structure and are checked one by one.
-    pub fn verify_batch(&self, items: &[(&[u8], &Signature)]) -> Vec<bool> {
-        match self {
-            NodeSigner::Rsa(kr) => kr.verify_own_batch(items),
-            NodeSigner::Mac { .. } => items
-                .iter()
-                .map(|(bytes, sig)| self.verify(bytes, sig))
-                .collect(),
-        }
-    }
 }
 
 /// Immutable session context shared by all nodes of a simulation.
@@ -221,16 +207,6 @@ impl SharedContext {
             return true;
         }
         self.signer(node).verify(&msg.body.signable_bytes(), &msg.sig)
-    }
-
-    /// Verifies a batch of signed bodies emitted by `node`, one verdict
-    /// per `(signable bytes, signature)` pair (honors
-    /// `config.verify_signatures`).
-    pub fn verify_batch(&self, node: NodeId, items: &[(&[u8], &Signature)]) -> Vec<bool> {
-        if !self.config.verify_signatures {
-            return vec![true; items.len()];
-        }
-        self.signer(node).verify_batch(items)
     }
 
     /// Verifies detached evidence bytes signed by `node`.

@@ -29,10 +29,7 @@ use pag_bignum::BigUint;
 use pag_crypto::{sizes, HomomorphicHash, Signature};
 use pag_membership::NodeId;
 
-use crate::messages::{
-    HashTriple, MessageBody, ServedRef, ServedUpdate, SignedMessage, CLASS_ACCUSATION,
-    CLASS_BUFFERMAP, CLASS_CONTROL, CLASS_MEMBERSHIP, CLASS_MONITORING, CLASS_UPDATES,
-};
+use crate::messages::{HashTriple, MessageBody, ServedRef, ServedUpdate, SignedMessage};
 use crate::update::UpdateId;
 
 /// A protocol-defined traffic class (index into per-class counters).
@@ -907,149 +904,6 @@ pub fn decode_frame(bytes: &[u8], wire: &WireConfig) -> Result<Frame, CodecError
 }
 
 // ---------------------------------------------------------------------
-// Coalesced containers
-// ---------------------------------------------------------------------
-
-/// Container tag byte. Message frames start with a type tag in `1..=25`
-/// ([`type_tag`]), so the first byte tells containers and plain frames
-/// apart with no further framing.
-pub const COALESCED_TAG: u8 = 0xC1;
-
-/// Fixed container overhead: tag (1), from (4), to (4), count (2).
-pub const COALESCED_HEADER_BYTES: usize = 11;
-
-/// Per-inner-frame overhead inside a container (u32 length prefix).
-pub const COALESCED_PER_FRAME_BYTES: usize = 4;
-
-/// Exact wire size of a container holding inner frames of the given
-/// total length — the accounting counterpart of [`encode_coalesced`].
-pub fn coalesced_size(inner_count: usize, inner_total: usize) -> usize {
-    COALESCED_HEADER_BYTES + inner_count * COALESCED_PER_FRAME_BYTES + inner_total
-}
-
-/// True when `bytes` is a coalesced container rather than a plain
-/// message frame.
-pub fn is_coalesced(bytes: &[u8]) -> bool {
-    bytes.first() == Some(&COALESCED_TAG)
-}
-
-/// Packs several same-destination frames (each an [`encode_frame`]
-/// output) into one container: tag, from, to, count, then each inner
-/// frame with a u32 length prefix. The encoded length always equals
-/// [`coalesced_size`] of the inputs.
-///
-/// # Errors
-///
-/// [`CodecError::Overflow`] when `inner` holds more than `u16::MAX`
-/// frames or an inner frame exceeds `u32::MAX` bytes.
-pub fn encode_coalesced(
-    from: NodeId,
-    to: NodeId,
-    inner: &[Vec<u8>],
-) -> Result<Vec<u8>, CodecError> {
-    if inner.len() > u16::MAX as usize {
-        return Err(CodecError::Overflow { field: "coalesced.count" });
-    }
-    let total: usize = inner.iter().map(Vec::len).sum();
-    let mut out = Vec::with_capacity(coalesced_size(inner.len(), total));
-    out.push(COALESCED_TAG);
-    out.extend_from_slice(&from.value().to_be_bytes());
-    out.extend_from_slice(&to.value().to_be_bytes());
-    out.extend_from_slice(&(inner.len() as u16).to_be_bytes());
-    for frame in inner {
-        if frame.len() > u32::MAX as usize {
-            return Err(CodecError::Overflow { field: "coalesced.frame_len" });
-        }
-        out.extend_from_slice(&(frame.len() as u32).to_be_bytes());
-        out.extend_from_slice(frame);
-    }
-    debug_assert_eq!(out.len(), coalesced_size(inner.len(), total));
-    Ok(out)
-}
-
-/// Unpacks a container produced by [`encode_coalesced`], returning the
-/// addressing pair and the inner frames (still encoded — decode each
-/// with [`decode_frame`]).
-///
-/// Structural validation only, like [`decode_frame`]: counts and
-/// lengths are checked, inner frames are not parsed here.
-pub fn decode_coalesced(bytes: &[u8]) -> Result<(NodeId, NodeId, Vec<Vec<u8>>), CodecError> {
-    let mut r = Reader {
-        buf: bytes,
-        pos: 0,
-        // The container layout has no WireConfig-dependent widths; any
-        // config serves the shared Reader plumbing.
-        wire: &DEFAULT_WIRE,
-    };
-    let tag = r.u8("coalesced.tag")?;
-    if tag != COALESCED_TAG {
-        return Err(CodecError::UnknownType(tag));
-    }
-    let from = r.node("coalesced.from")?;
-    let to = r.node("coalesced.to")?;
-    let count = r.uint(2, "coalesced.count")? as usize;
-    let mut inner = Vec::with_capacity(count.min(1024));
-    for _ in 0..count {
-        let len = r.uint(4, "coalesced.frame_len")? as usize;
-        inner.push(r.take(len, "coalesced.frame")?.to_vec());
-    }
-    if r.pos != bytes.len() {
-        return Err(CodecError::TrailingBytes {
-            extra: bytes.len() - r.pos,
-        });
-    }
-    Ok((from, to, inner))
-}
-
-/// Traffic class of the message-type tag `tag`, or `None` for a byte
-/// that is no known frame tag (corrupted frames, container bytes). Kept
-/// in lock step with [`MessageBody::traffic_class`] by the
-/// `peeked_class_matches_traffic_class` test.
-fn class_of_tag(tag: u8) -> Option<TrafficClass> {
-    Some(match tag {
-        1 | 4 | 5 | 22..=25 => CLASS_CONTROL,
-        3 => CLASS_UPDATES,
-        2 => CLASS_BUFFERMAP,
-        6..=10 | 19 => CLASS_MONITORING,
-        11..=18 => CLASS_ACCUSATION,
-        20 | 21 => CLASS_MEMBERSHIP,
-        _ => return None,
-    })
-}
-
-/// Peeks `(traffic class, round)` off an encoded frame without decoding
-/// it: the type tag at byte 0 and the big-endian round at bytes 1..5.
-/// Coalesced containers report their first inner frame — coalescing
-/// groups frames by destination and barrier charge, so every inner
-/// frame agrees. Returns `None` for truncated bytes and unknown tags;
-/// deliberately corrupted frames land here, and both ends of a link
-/// peek the same final bytes, so the pipelined barrier ledger charges
-/// them identically.
-pub fn peek_class_round(bytes: &[u8]) -> Option<(TrafficClass, u64)> {
-    let frame = if is_coalesced(bytes) {
-        bytes.get(COALESCED_HEADER_BYTES + COALESCED_PER_FRAME_BYTES..)?
-    } else {
-        bytes
-    };
-    let class = class_of_tag(*frame.first()?)?;
-    let round = u32::from_be_bytes(frame.get(1..5)?.try_into().ok()?) as u64;
-    Some((class, round))
-}
-
-/// The [`WireConfig`] used for width-independent container parsing.
-static DEFAULT_WIRE: WireConfig = WireConfig {
-    update_payload: sizes::UPDATE_PAYLOAD_BYTES,
-    hash: sizes::HASH_BYTES,
-    prime: sizes::PRIME_BYTES,
-    signature: sizes::SIGNATURE_BYTES,
-    seal_overhead: sizes::SEAL_OVERHEAD_BYTES,
-    update_id: sizes::UPDATE_ID_BYTES,
-    reference: 6,
-    header: sizes::MESSAGE_HEADER_BYTES,
-    count: 2,
-};
-
-// ---------------------------------------------------------------------
 // Stream framing
 // ---------------------------------------------------------------------
 
@@ -1301,230 +1155,25 @@ mod tests {
         ));
     }
 
-    // -- coalesced containers ------------------------------------------
-
+    /// PR 10's multi-frame container (tag `0xC1`, from, to, count, then
+    /// u32-length-prefixed inner frames) is no longer a frame format:
+    /// a well-formed one wrapping a valid frame is an unknown type like
+    /// any other stray byte, and nothing inside it is looked at.
     #[test]
-    fn coalesced_roundtrip_and_exact_size() {
+    fn former_container_is_an_unknown_type() {
         let wire = WireConfig::default();
-        let frames: Vec<Vec<u8>> = (0..4).map(sample_frame).collect();
-        let total: usize = frames.iter().map(Vec::len).sum();
-        let packed = encode_coalesced(NodeId(1), NodeId(2), &frames).unwrap();
-        assert!(is_coalesced(&packed));
-        assert_eq!(packed.len(), coalesced_size(frames.len(), total));
-        let (from, to, inner) = decode_coalesced(&packed).unwrap();
-        assert_eq!((from, to), (NodeId(1), NodeId(2)));
-        assert_eq!(inner, frames);
-        for f in &inner {
-            assert!(decode_frame(f, &wire).is_ok());
-        }
-        // A plain frame is never mistaken for a container: type tags
-        // stop at 25, the container tag is 0xC1.
-        assert!(!is_coalesced(&frames[0]));
+        let inner = sample_frame(3);
+        assert!(decode_frame(&inner, &wire).is_ok());
+        let mut container = vec![0xC1];
+        container.extend_from_slice(&1u32.to_be_bytes()); // from
+        container.extend_from_slice(&2u32.to_be_bytes()); // to
+        container.extend_from_slice(&1u16.to_be_bytes()); // count
+        container.extend_from_slice(&(inner.len() as u32).to_be_bytes());
+        container.extend_from_slice(&inner);
         assert!(matches!(
-            decode_coalesced(&frames[0]),
-            Err(CodecError::UnknownType(_))
+            decode_frame(&container, &wire),
+            Err(CodecError::UnknownType(0xC1))
         ));
-    }
-
-    #[test]
-    fn coalesced_empty_and_single() {
-        let packed = encode_coalesced(NodeId(0), NodeId(1), &[]).unwrap();
-        assert_eq!(packed.len(), COALESCED_HEADER_BYTES);
-        let (_, _, inner) = decode_coalesced(&packed).unwrap();
-        assert!(inner.is_empty());
-        let one = vec![sample_frame(9)];
-        let packed = encode_coalesced(NodeId(0), NodeId(1), &one).unwrap();
-        let (_, _, inner) = decode_coalesced(&packed).unwrap();
-        assert_eq!(inner, one);
-    }
-
-    #[test]
-    fn coalesced_truncation_and_trailing_rejected() {
-        let frames: Vec<Vec<u8>> = (0..2).map(sample_frame).collect();
-        let packed = encode_coalesced(NodeId(4), NodeId(5), &frames).unwrap();
-        assert!(matches!(
-            decode_coalesced(&packed[..packed.len() - 1]),
-            Err(CodecError::Truncated { .. })
-        ));
-        assert!(matches!(
-            decode_coalesced(&[packed.clone(), vec![0]].concat()),
-            Err(CodecError::TrailingBytes { extra: 1 })
-        ));
-    }
-
-    // -- class peeking -------------------------------------------------
-
-    /// One body per wire variant, exercising every [`type_tag`] arm.
-    fn one_of_each(wire: &WireConfig) -> Vec<MessageBody> {
-        let h = || HomomorphicHash::from_value(BigUint::from(1u64));
-        let t = || HashTriple {
-            expiring: h(),
-            fresh: h(),
-            duplicate: h(),
-        };
-        let big = || BigUint::from(13u64);
-        let sig = || sig_of(wire);
-        vec![
-            MessageBody::KeyRequest { round: 7 },
-            MessageBody::KeyResponse {
-                round: 7,
-                prime: big(),
-                buffermap: vec![],
-            },
-            MessageBody::Serve {
-                round: 7,
-                k_prev: big(),
-                k_prev_factors: 1,
-                fresh: vec![],
-                refs: vec![],
-            },
-            MessageBody::Attestation { round: 7, hashes: t() },
-            MessageBody::Ack { round: 7, hashes: t() },
-            MessageBody::SourceDeclare { round: 7, hashes: t() },
-            MessageBody::MonitorAck {
-                round: 7,
-                sender: NodeId(1),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::MonitorAttestation {
-                round: 7,
-                sender: NodeId(1),
-                attestation: t(),
-                cofactor: big(),
-                cofactor_factors: 1,
-            },
-            MessageBody::MonitorBroadcast {
-                round: 7,
-                watched: NodeId(2),
-                sender: NodeId(1),
-                combined: t(),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::AckForward {
-                round: 7,
-                sender: NodeId(1),
-                receiver: NodeId(2),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::Accuse {
-                round: 7,
-                accused: NodeId(2),
-                k_prev: big(),
-                k_prev_factors: 1,
-                fresh: vec![],
-                refs: vec![],
-            },
-            MessageBody::ReAsk {
-                round: 7,
-                accuser: NodeId(1),
-                k_prev: big(),
-                k_prev_factors: 1,
-                fresh: vec![],
-                refs: vec![],
-            },
-            MessageBody::ReAskAck {
-                round: 7,
-                accuser: NodeId(1),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::Confirm {
-                round: 7,
-                accuser: NodeId(1),
-                accused: NodeId(2),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::Nack {
-                round: 7,
-                accuser: NodeId(1),
-                accused: NodeId(2),
-            },
-            MessageBody::ExhibitRequest {
-                round: 7,
-                successor: NodeId(2),
-            },
-            MessageBody::ExhibitResponse {
-                round: 7,
-                successor: NodeId(2),
-                ack: Some((t(), sig())),
-            },
-            MessageBody::ExhibitNotice {
-                round: 7,
-                sender: NodeId(1),
-                receiver: NodeId(2),
-                ack: t(),
-                ack_sig: sig(),
-            },
-            MessageBody::SelfAccum { round: 7, value: t() },
-            MessageBody::JoinAnnounce {
-                round: 7,
-                node: NodeId(3),
-            },
-            MessageBody::LeaveAnnounce {
-                round: 7,
-                node: NodeId(3),
-            },
-            MessageBody::HandshakeHello {
-                session: 1,
-                node: NodeId(4),
-                nonce: 5,
-            },
-            MessageBody::HandshakeProof {
-                session: 1,
-                node: NodeId(4),
-                listener_nonce: 5,
-                peer_nonce: 6,
-            },
-            MessageBody::HandshakeAccept {
-                session: 1,
-                node: NodeId(4),
-            },
-            MessageBody::HandshakeReject {
-                session: 1,
-                reason: 2,
-            },
-        ]
-    }
-
-    #[test]
-    fn peeked_class_matches_traffic_class() {
-        let wire = WireConfig::default();
-        let bodies = one_of_each(&wire);
-        assert_eq!(bodies.len(), 25, "every variant sampled");
-        let mut tags = std::collections::BTreeSet::new();
-        for body in bodies {
-            let class = body.traffic_class();
-            let round = body.round();
-            let msg = SignedMessage {
-                body,
-                sig: sig_of(&wire),
-            };
-            tags.insert(type_tag(&msg.body));
-            assert_eq!(class_of_tag(type_tag(&msg.body)), Some(class));
-            let frame = encode_frame(NodeId(1), NodeId(2), &msg, &wire).unwrap();
-            assert_eq!(peek_class_round(&frame), Some((class, round)));
-            // The peek survives coalescing: a container reports its
-            // first inner frame.
-            let packed = encode_coalesced(NodeId(1), NodeId(2), &[frame]).unwrap();
-            assert_eq!(peek_class_round(&packed), Some((class, round)));
-        }
-        assert_eq!(tags.len(), 25, "tags are distinct");
-    }
-
-    #[test]
-    fn peek_rejects_corruption_and_truncation() {
-        let frame = sample_frame(3);
-        let mut corrupted = frame.clone();
-        corrupted[0] ^= 0xA5; // the fault injector's corruption mask
-        assert_eq!(peek_class_round(&corrupted), None);
-        assert_eq!(peek_class_round(&frame[..3]), None);
-        assert_eq!(peek_class_round(&[]), None);
-        let empty = encode_coalesced(NodeId(0), NodeId(1), &[]).unwrap();
-        assert_eq!(peek_class_round(&empty), None);
     }
 
     // -- stream framing ------------------------------------------------

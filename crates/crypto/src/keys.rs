@@ -166,20 +166,6 @@ impl Keyring {
             SigningMode::Fast { .. } => &self.sign(message) == sig,
         }
     }
-
-    /// Verifies a batch of this owner's signatures, one verdict per
-    /// pair. RSA mode takes the shared-context product screen of
-    /// [`signature::verify_batch`]; fast mode (a MAC) has no batch
-    /// structure to exploit and checks pairs one by one.
-    pub fn verify_own_batch(&self, items: &[(&[u8], &Signature)]) -> Vec<bool> {
-        match self.mode {
-            SigningMode::Rsa => signature::verify_batch(self.keypair.public(), items),
-            SigningMode::Fast { .. } => items
-                .iter()
-                .map(|(msg, sig)| self.verify_own(msg, sig))
-                .collect(),
-        }
-    }
 }
 
 /// Verifies a signature given only a public key (RSA mode).

@@ -306,8 +306,8 @@ mod tests {
         // signatures leaves both products unchanged, so the *screen*
         // passes even though neither pair verifies individually. Only a
         // party already holding valid signatures from this signer can
-        // construct such a set, which is why the engine batches only
-        // same-sender authenticity checks, never transferable evidence.
+        // construct such a set, but it is why an in-engine batch has to
+        // randomise the product (DESIGN.md §16).
         assert!(kp.public().verify_batch_raw(&[(&em1, &s2), (&em2, &s1)]));
         assert!(!kp.public().encrypt_raw(&s2).map(|r| r == em1).unwrap());
     }

@@ -51,7 +51,6 @@ mod bug_tests {
             selfish: vec![],
             crashes: vec![(pag_membership::NodeId(2), 1, u64::MAX)],
             joins: vec![],
-            window: 0,
         }
     }
 

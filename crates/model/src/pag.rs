@@ -11,15 +11,10 @@
 //! straight back into the frontier: an engine's `Send`s enqueue onto
 //! the target inboxes, its `SetTimer`s arm the per-node deadline maps.
 //!
-//! The **quiescence ledger** is modeled alongside, in the runtime's
-//! two lanes (DESIGN.md §16): every enqueue credits either the
-//! `gating` lane (round broadcasts, timer shots, data-plane frames) or
-//! — when `Scenario::window > 0` — the `deferred` lane (monitoring
-//! and accusation frames), and every delivery debits the lane it was
-//! credited on. The driver's barrier (the `Advance` guard) is
-//! gating-quiet before opening the next round and totally quiet before
-//! a round's timer phases — the same condvar conditions
-//! `pag_runtime::worker::Coordination` blocks on.
+//! The **quiescence ledger** is modeled alongside: `pending` is
+//! credited on every enqueue and debited after every delivery, and the
+//! driver's barrier (the `Advance` guard) is `pending == 0` — the same
+//! condvar condition `pag_runtime::worker::Coordination` blocks on.
 //! Crash retirement releases the credits of the mail it discards. The
 //! `#[cfg(test)]`-gated [`PagMachine::with_early_credit_bug`] fault
 //! flag reintroduces the PR 5 race: the retirement path *also* credits
@@ -40,7 +35,6 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use pag_core::engine::{Effect, Input, PagEngine};
-use pag_core::messages::{CLASS_ACCUSATION, CLASS_MONITORING};
 use pag_core::model::{fnv1a, StateProj};
 use pag_core::{PagConfig, SelfishStrategy, SharedContext, SignedMessage};
 use pag_membership::NodeId;
@@ -79,12 +73,6 @@ pub struct Scenario {
     /// start (registered keys, idle engine) and is fed `Input::Join`
     /// during `join_round - 1`. Ids must continue after `nodes`.
     pub joins: Vec<(NodeId, u64)>,
-    /// Lockstep round-pipelining window (DESIGN.md §16): round `r + 1`
-    /// may open while round `r`'s monitoring/accusation mail is still
-    /// queued; round `r`'s timer phases wait for **total** quiescence
-    /// once the pipeline has moved `window` rounds past it. `0` models
-    /// the classic fully-synchronous driver.
-    pub window: u64,
 }
 
 impl Scenario {
@@ -101,18 +89,6 @@ impl Scenario {
             selfish: vec![(NodeId(2), SelfishStrategy::DropForward)],
             crashes: vec![(NodeId(3), 1, 3)],
             joins: Vec::new(),
-            window: 0,
-        }
-    }
-
-    /// The canonical topology driven by the pipelined scheduler at
-    /// window 1: the same 4 nodes and 2 rounds, but round 1's exchanges
-    /// interleave with round 0's draining monitoring mail, and round
-    /// 0's timer phases run only after round 1 opened.
-    pub fn canonical_pipelined() -> Self {
-        Scenario {
-            window: 1,
-            ..Self::canonical()
         }
     }
 
@@ -120,7 +96,7 @@ impl Scenario {
     /// counterexample is turned into a regression-test body).
     pub fn to_code(&self) -> String {
         format!(
-            "Scenario {{ nodes: {}, rounds: {}, seed: {}, fanout: {}, monitor_count: {}, stream_rate_kbps: {:?}, selfish: vec!{:?}, crashes: vec!{:?}, joins: vec!{:?}, window: {} }}",
+            "Scenario {{ nodes: {}, rounds: {}, seed: {}, fanout: {}, monitor_count: {}, stream_rate_kbps: {:?}, selfish: vec!{:?}, crashes: vec!{:?}, joins: vec!{:?} }}",
             self.nodes,
             self.rounds,
             self.seed,
@@ -130,7 +106,6 @@ impl Scenario {
             self.selfish,
             self.crashes,
             self.joins,
-            self.window,
         )
     }
 }
@@ -171,33 +146,12 @@ pub struct PagState {
     /// Retirements applied per node (the no-double-retirement check).
     retire_count: Vec<u8>,
     round: u64,
-    /// First round whose timer phases have not yet completed. Rounds
-    /// `< timer_cursor` are fully drained; the driver only opens round
-    /// `r + 1` while `r - timer_cursor < window` still holds.
-    timer_cursor: u64,
     /// Virtual time of the last driver broadcast (round start or the
     /// latest `TimersUpTo` deadline).
     fired_upto: u64,
-    /// The gating lane of the quiescence ledger: enqueues minus
-    /// completed deliveries of round broadcasts, timer shots, and
-    /// data-plane frames.
-    pending_gating: i64,
-    /// The deferred lane: monitoring/accusation frames when
-    /// `Scenario::window > 0` (always empty at window 0).
-    pending_deferred: i64,
+    /// The quiescence ledger: enqueues minus completed deliveries.
+    pending: i64,
     done: bool,
-}
-
-/// The driver's next barrier phase, derived deterministically from the
-/// round/timer-cursor program counters.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-enum Phase {
-    /// Run (one step of) round `r0`'s timer phases; needs total quiet.
-    Timer(u64),
-    /// Broadcast `Round(r)`; needs gating-quiet only.
-    NextRound(u64),
-    /// All rounds drained: clear timers and stop; needs total quiet.
-    Finish,
 }
 
 /// A typed transition of [`PagMachine`].
@@ -299,32 +253,6 @@ impl PagMachine {
             .unwrap_or(SelfishStrategy::Honest)
     }
 
-    /// Whether `mail` is credited on the deferred lane — exactly the
-    /// runtime's `Charge::of_frame` byte-peek: monitoring/accusation
-    /// frames when the window is open, everything else (round
-    /// broadcasts, timer shots, data-plane frames) gating.
-    fn is_deferred(&self, mail: &Mail) -> bool {
-        if self.scenario.window == 0 {
-            return false;
-        }
-        match mail {
-            Mail::Frame { msg, .. } => {
-                let class = msg.body.traffic_class();
-                class == CLASS_MONITORING || class == CLASS_ACCUSATION
-            }
-            Mail::Round(_) | Mail::Timer { .. } => false,
-        }
-    }
-
-    /// Credits one enqueue of `mail` on its lane.
-    fn credit(&self, st: &mut PagState, mail: &Mail) {
-        if self.is_deferred(mail) {
-            st.pending_deferred += 1;
-        } else {
-            st.pending_gating += 1;
-        }
-    }
-
     /// Feeds `input` to `node`'s engine and folds the effects back into
     /// the frontier: sends enqueue (with ledger credit) onto live
     /// targets — sends to crashed nodes are counted-and-credited
@@ -337,12 +265,11 @@ impl PagMachine {
                 Effect::Send { to, msg, .. } => {
                     let t = to.value() as usize;
                     if t < st.crashed.len() && !st.crashed[t] {
-                        let mail = Mail::Frame {
+                        st.inbox[t].push_back(Mail::Frame {
                             from: NodeId(node as u32),
                             msg,
-                        };
-                        self.credit(st, &mail);
-                        st.inbox[t].push_back(mail);
+                        });
+                        st.pending += 1;
                     }
                 }
                 Effect::SetTimer { tag, after_ms } => {
@@ -379,7 +306,7 @@ impl PagMachine {
         for i in 0..st.engines.len() {
             if !st.crashed[i] {
                 st.inbox[i].push_back(Mail::Round(r));
-                st.pending_gating += 1;
+                st.pending += 1;
             }
         }
         if let Some(feeds) = self.feeds.get(&r) {
@@ -410,39 +337,14 @@ impl PagMachine {
             .collect()
     }
 
-    /// The total ledger balance of `s`, both lanes (exposed for tests).
+    /// The ledger balance of `s` (exposed for tests).
     pub fn pending(&self, s: &PagState) -> i64 {
-        s.pending_gating + s.pending_deferred
-    }
-
-    /// The deferred-lane balance of `s` (exposed for tests).
-    pub fn pending_deferred(&self, s: &PagState) -> i64 {
-        s.pending_deferred
+        s.pending
     }
 
     /// Whether `s` is the quiescent end of the session.
     pub fn is_quiescent_end(&self, s: &PagState) -> bool {
-        s.done
-            && s.pending_gating == 0
-            && s.pending_deferred == 0
-            && s.inbox.iter().all(VecDeque::is_empty)
-    }
-
-    /// The driver's next barrier phase in `s` — the same schedule
-    /// `drive_rounds` runs: round `timer_cursor`'s timer phases once
-    /// the pipeline is `window` rounds past it (or no rounds remain to
-    /// open), else the next round broadcast, else the finish barrier.
-    fn next_phase(&self, s: &PagState) -> Phase {
-        if s.timer_cursor <= s.round
-            && (s.round - s.timer_cursor >= self.scenario.window
-                || s.round + 1 >= self.scenario.rounds)
-        {
-            Phase::Timer(s.timer_cursor)
-        } else if s.round + 1 < self.scenario.rounds {
-            Phase::NextRound(s.round + 1)
-        } else {
-            Phase::Finish
-        }
+        s.done && s.pending == 0 && s.inbox.iter().all(VecDeque::is_empty)
     }
 }
 
@@ -470,10 +372,8 @@ impl Machine for PagMachine {
             round_seen: vec![false; n],
             retire_count: vec![0; n],
             round: 0,
-            timer_cursor: 0,
             fired_upto: 0,
-            pending_gating: 0,
-            pending_deferred: 0,
+            pending: 0,
             done: false,
         };
         self.enter_round(&mut st, 0);
@@ -489,23 +389,13 @@ impl Machine for PagMachine {
                 out.push(Act::Crash(NodeId(i as u32)));
             }
         }
-        // The barrier: exactly the ledger conditions the runtime's
-        // Coordination condvars wait on, plus all due retirements
-        // taken. Opening the next round only needs the gating lane
-        // drained (`wait_gating_quiet`); timer phases and the finish
-        // barrier need both lanes drained (`wait_quiet`). Under the
-        // early-credit bug the ledger can hit zero with mail still
-        // queued — the barrier opens early, exactly like the real race.
-        if !s.done && !s.retiring.iter().any(|&r| r) {
-            let quiet = match self.next_phase(s) {
-                Phase::NextRound(_) => s.pending_gating == 0,
-                Phase::Timer(_) | Phase::Finish => {
-                    s.pending_gating == 0 && s.pending_deferred == 0
-                }
-            };
-            if quiet {
-                out.push(Act::Advance);
-            }
+        // The barrier: exactly the ledger condition the runtime's
+        // Coordination condvar waits on, plus all due retirements
+        // taken. Under the early-credit bug the ledger can hit zero
+        // with mail still queued — the barrier opens early, exactly
+        // like the real race.
+        if !s.done && s.pending == 0 && !s.retiring.iter().any(|&r| r) {
+            out.push(Act::Advance);
         }
     }
 
@@ -515,7 +405,6 @@ impl Machine for PagMachine {
             Act::Deliver(node) => {
                 let i = node.value() as usize;
                 let mail = st.inbox[i].pop_front().expect("Deliver requires mail");
-                let deferred = self.is_deferred(&mail);
                 match mail {
                     Mail::Round(r) => {
                         if st.retiring[i] {
@@ -533,92 +422,63 @@ impl Machine for PagMachine {
                         self.feed(&mut st, i, Input::TimerFired { tag });
                     }
                 }
-                if deferred {
-                    st.pending_deferred -= 1;
-                } else {
-                    st.pending_gating -= 1;
-                }
+                st.pending -= 1;
             }
             Act::Crash(node) => {
                 let i = node.value() as usize;
                 st.crashed[i] = true;
                 st.retiring[i] = false;
                 st.retire_count[i] = st.retire_count[i].saturating_add(1);
-                // Release the credits of the discarded mail on the
-                // lanes they were charged to.
-                for mail in &st.inbox[i] {
-                    if self.is_deferred(mail) {
-                        st.pending_deferred -= 1;
-                    } else {
-                        st.pending_gating -= 1;
-                    }
-                }
+                let mut released = st.inbox[i].len() as i64;
                 if self.bug_early_credit && st.round_seen[i] {
                     // PR 5 race, reintroduced: retirement credits the
                     // broadcast envelope it assumes is still in flight
                     // — but this interleaving already consumed it, so
                     // the credit is released twice.
-                    st.pending_gating -= 1;
+                    released += 1;
                 }
                 st.inbox[i].clear();
                 st.timers[i].clear();
+                st.pending -= released;
             }
-            // One Advance is one effectful barrier step: fire one
-            // timer deadline, open one round, or finish. A timer phase
-            // with nothing due is only barrier waits in the runtime —
-            // it completes (cursor bump) and falls through to the next
-            // phase within the same step, so the window-0 transition
-            // graph is unchanged from the pre-pipelining model.
-            Act::Advance => loop {
-                match self.next_phase(&st) {
-                    Phase::Timer(r0) => {
-                        let round_end = (r0 + 1) * VIRTUAL_ROUND_MS;
-                        let next_deadline = st
-                            .timers
-                            .iter()
-                            .enumerate()
-                            .filter(|&(i, _)| !st.crashed[i])
-                            .filter_map(|(_, t)| t.keys().next().copied())
-                            .min()
-                            .filter(|&d| d < round_end);
-                        let Some(d) = next_deadline else {
-                            // Round r0's timer phases are drained.
-                            st.timer_cursor = r0 + 1;
+            Act::Advance => {
+                let round_end = (st.round + 1) * VIRTUAL_ROUND_MS;
+                let next_deadline = st
+                    .timers
+                    .iter()
+                    .enumerate()
+                    .filter(|&(i, _)| !st.crashed[i])
+                    .filter_map(|(_, t)| t.keys().next().copied())
+                    .min()
+                    .filter(|&d| d < round_end);
+                if let Some(d) = next_deadline {
+                    // TimersUpTo(d): every live node's shots due by d.
+                    for i in 0..st.engines.len() {
+                        if st.crashed[i] {
                             continue;
-                        };
-                        // TimersUpTo(d): every live node's shots due
-                        // by d.
-                        for i in 0..st.engines.len() {
-                            if st.crashed[i] {
-                                continue;
-                            }
-                            let due: Vec<u64> = st.timers[i]
-                                .range(..=d)
-                                .map(|(&dl, _)| dl)
-                                .collect();
-                            for dl in due {
-                                for tag in st.timers[i].remove(&dl).unwrap_or_default() {
-                                    st.inbox[i].push_back(Mail::Timer { tag });
-                                    st.pending_gating += 1;
-                                }
+                        }
+                        let due: Vec<u64> = st.timers[i]
+                            .range(..=d)
+                            .map(|(&dl, _)| dl)
+                            .collect();
+                        for dl in due {
+                            for tag in st.timers[i].remove(&dl).unwrap_or_default() {
+                                st.inbox[i].push_back(Mail::Timer { tag });
+                                st.pending += 1;
                             }
                         }
-                        st.fired_upto = d;
-                        break;
                     }
-                    Phase::NextRound(next) => {
-                        self.enter_round(&mut st, next);
-                        break;
+                    st.fired_upto = d;
+                } else if st.round + 1 < self.scenario.rounds {
+                    let next = st.round + 1;
+                    self.enter_round(&mut st, next);
+                } else {
+                    for t in &mut st.timers {
+                        t.clear();
                     }
-                    Phase::Finish => {
-                        for t in &mut st.timers {
-                            t.clear();
-                        }
-                        st.done = true;
-                        break;
-                    }
+                    st.done = true;
                 }
-            },
+            }
         }
         st
     }
@@ -631,10 +491,8 @@ impl Machine for PagMachine {
         let mut p = StateProj::new();
         p.tag("driver");
         p.u64(s.round);
-        p.u64(s.timer_cursor);
         p.u64(s.fired_upto);
-        p.u64(s.pending_gating as u64);
-        p.u64(s.pending_deferred as u64);
+        p.u64(s.pending as u64);
         p.bool(s.done);
         for i in 0..s.engines.len() {
             p.bool(s.crashed[i]);
@@ -673,16 +531,10 @@ impl Machine for PagMachine {
     }
 
     fn invariant(&self, s: &PagState) -> Result<(), String> {
-        if s.pending_gating < 0 {
+        if s.pending < 0 {
             return Err(format!(
-                "gating ledger credit went negative (pending_gating = {})",
-                s.pending_gating
-            ));
-        }
-        if s.pending_deferred < 0 {
-            return Err(format!(
-                "deferred ledger credit went negative (pending_deferred = {})",
-                s.pending_deferred
+                "ledger credit went negative (pending = {})",
+                s.pending
             ));
         }
         for (i, &count) in s.retire_count.iter().enumerate() {
@@ -703,8 +555,8 @@ impl Machine for PagMachine {
     fn deadlock(&self, s: &PagState) -> Result<(), String> {
         if !self.is_quiescent_end(s) {
             return Err(format!(
-                "wedged before quiescence (round {}, gating {}, deferred {}, done {})",
-                s.round, s.pending_gating, s.pending_deferred, s.done
+                "wedged before quiescence (round {}, pending {}, done {})",
+                s.round, s.pending, s.done
             ));
         }
         let verdicts = self.verdict_set(s);

@@ -66,46 +66,6 @@ fn canonical_4node_2round_freerider_crash_is_exhaustive_and_clean() {
     }
 }
 
-/// The canonical topology under the pipelined scheduler (window 1,
-/// DESIGN.md §16): round 1's broadcast opens while round 0's
-/// monitoring/accusation mail is still queued on the deferred lane,
-/// and round 0's timer phases run against that interleaved frontier.
-/// Every interleaving must keep both ledger lanes non-negative,
-/// convict no honest node, and reach the quiescent end.
-#[test]
-fn pipelined_canonical_window1_is_exhaustive_and_clean() {
-    let machine = PagMachine::new(Scenario::canonical_pipelined());
-    let mut terminal_verdicts = Vec::new();
-    let report = explore_with(&machine, Budget::default(), |s| {
-        terminal_verdicts.push(machine.verdict_set(s));
-    });
-
-    println!(
-        "pipelined: {} states, {} transitions, {} terminals, depth {}",
-        report.states, report.transitions, report.terminals, report.depth
-    );
-    assert!(report.exhausted, "state space must fit the budget");
-    assert!(
-        report.violation.is_none(),
-        "all pipelined interleavings must satisfy safety + termination \
-         properties: {:?}",
-        report.violation
-    );
-    assert!(report.terminals > 0, "quiescent end must be reachable");
-
-    // Same conviction bar as the window-0 exploration: every
-    // interleaving convicts the freerider and nobody else.
-    for verdicts in &terminal_verdicts {
-        let accused: std::collections::BTreeSet<u32> =
-            verdicts.iter().map(|&(_, _, accused, _)| accused).collect();
-        assert!(accused.contains(&2), "freerider missing from {verdicts:?}");
-        assert!(
-            accused.iter().all(|&a| a == 2),
-            "collateral conviction in {verdicts:?}"
-        );
-    }
-}
-
 /// Churn flavor: a late joiner instead of a crash, plus the freerider.
 #[test]
 fn joiner_topology_is_exhaustive_and_clean() {
@@ -119,7 +79,6 @@ fn joiner_topology_is_exhaustive_and_clean() {
         selfish: vec![(NodeId(1), SelfishStrategy::DropForward)],
         crashes: vec![],
         joins: vec![(NodeId(3), 1)],
-        window: 0,
     };
     let report = explore(&PagMachine::new(scenario), Budget::default());
     println!("joiner: {} states, {} transitions", report.states, report.transitions);
@@ -142,7 +101,6 @@ fn large_5node_3round_topology_is_exhaustive_and_clean() {
         selfish: vec![(NodeId(2), SelfishStrategy::DropForward)],
         crashes: vec![(NodeId(4), 2, u64::MAX)],
         joins: vec![],
-        window: 0,
     };
     let report = explore(&PagMachine::new(scenario), Budget { max_states: 20_000_000 });
     println!(

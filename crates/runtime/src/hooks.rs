@@ -247,7 +247,12 @@ mod tests {
                 let mut last_round: BTreeMap<NodeId, u64> = BTreeMap::new();
                 let mut last_min = 0;
                 while !stop.load(Ordering::Relaxed) {
-                    for (node, status) in watch.snapshot() {
+                    let snapshot = watch.snapshot();
+                    // Nodes only ever get added, so once one snapshot
+                    // held every publisher, every later `min_round`
+                    // ranges over all of them too.
+                    let all_published = snapshot.len() == PUBLISHERS as usize;
+                    for (node, status) in snapshot {
                         assert_eq!(status.metrics.exchanges_completed, status.round);
                         assert_eq!(status.metrics.ops.signatures, status.round);
                         assert_eq!(status.traffic.sent_msgs, status.round);
@@ -257,9 +262,15 @@ mod tests {
                         assert!(status.round >= *prev, "round went backwards");
                         *prev = status.round;
                     }
-                    if let Some(min) = watch.min_round() {
-                        assert!(min >= last_min, "min_round went backwards");
-                        last_min = min;
+                    // The minimum over per-node monotone rounds is
+                    // itself monotone only over a fixed node set: a
+                    // late first publication (round 0) legitimately
+                    // pulls it back down.
+                    if all_published {
+                        if let Some(min) = watch.min_round() {
+                            assert!(min >= last_min, "min_round went backwards");
+                            last_min = min;
+                        }
                     }
                 }
             })

@@ -51,7 +51,7 @@ use pag_membership::NodeId;
 
 use crate::report::TrafficReport;
 use crate::worker::{
-    drive_rounds, panic_message, Charge, ClockSink, Coordination, DriverRun, Envelope, Link,
+    drive_rounds, panic_message, ClockSink, Coordination, DriverRun, Envelope, Link,
     NodeCore,
 };
 
@@ -315,13 +315,13 @@ impl ClockSink for PoolClock<'_> {
             })
             .collect();
         if let Some(coord) = coord {
-            coord.add(Charge::Gating, live.len() as u64);
+            coord.add(live.len() as u64);
         }
         for idx in live {
             if !self.queues.enqueue(idx, make()) {
                 // Retired after the snapshot: charged above, so balance.
                 if let Some(coord) = coord {
-                    coord.done(Charge::Gating);
+                    coord.done();
                 }
             }
         }
@@ -411,10 +411,10 @@ fn pool_worker<L: Link>(
                 }
             };
             if lockstep {
-                let charge = core.lockstep_envelope(envelope);
+                core.lockstep_envelope(envelope);
                 let coord = queues.coord.as_ref().expect("lockstep coordination");
                 coord.publish_deadline(idx, core.next_deadline());
-                coord.done(charge);
+                coord.done();
             } else {
                 core.realtime_envelope(envelope);
                 queues.publish_wake(idx, core.next_wake());

@@ -38,7 +38,6 @@ pub fn session_for_scenario(scenario: &Scenario) -> SessionConfig {
     sc.pag.fanout = scenario.fanout;
     sc.pag.monitor_count = scenario.monitor_count;
     sc.pag.stream_rate_kbps = scenario.stream_rate_kbps;
-    sc.pipeline_window = scenario.window;
     sc.driver = Driver::Simnet(SimConfig {
         seed: scenario.seed,
         ..SimConfig::default()

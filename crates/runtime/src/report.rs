@@ -50,20 +50,6 @@ impl NodeTraffic {
         self.recv_by_class[class.0 as usize % MAX_TRAFFIC_CLASSES] += bytes as u64;
     }
 
-    /// Accounts coalesced-container framing overhead on the send side:
-    /// bytes only, no message count — the inner frames were each
-    /// counted by [`NodeTraffic::record_send`] when encoded.
-    pub(crate) fn record_send_overhead(&mut self, bytes: usize, class: TrafficClass) {
-        self.sent_bytes += bytes as u64;
-        self.sent_by_class[class.0 as usize % MAX_TRAFFIC_CLASSES] += bytes as u64;
-    }
-
-    /// Receive-side counterpart of [`NodeTraffic::record_send_overhead`].
-    pub(crate) fn record_recv_overhead(&mut self, bytes: usize, class: TrafficClass) {
-        self.recv_bytes += bytes as u64;
-        self.recv_by_class[class.0 as usize % MAX_TRAFFIC_CLASSES] += bytes as u64;
-    }
-
     /// Total bandwidth over `duration_secs` in kilobits per second,
     /// upload and download together (the paper's "bandwidth
     /// consumption").

@@ -112,19 +112,6 @@ pub struct SessionConfig {
     /// back, so a traced run is bit-identical to an untraced one — the
     /// driver-equivalence suite pins this.
     pub trace: TraceConfig,
-    /// Lockstep round-pipelining window (DESIGN.md §16): how many rounds
-    /// of data-plane exchanges may run ahead while earlier rounds'
-    /// monitoring/accusation traffic drains. `0` (default) is the
-    /// classic fully-synchronous schedule; verdict and conviction sets
-    /// are window-independent by test. Forwarded into the threaded and
-    /// TCP driver configs; the simulator's discrete-event clock has no
-    /// barriers to pipeline, so it ignores the window.
-    pub pipeline_window: u64,
-    /// Coalesce same-destination frames of a lockstep phase into one
-    /// container wire frame (membership frames always travel alone so
-    /// loss emulation keeps its per-frame exemption). Wire framing only,
-    /// never outcomes. Forwarded like `pipeline_window`.
-    pub coalesce: bool,
 }
 
 impl SessionConfig {
@@ -140,8 +127,6 @@ impl SessionConfig {
             churn: Vec::new(),
             faults: Vec::new(),
             trace: TraceConfig::off(),
-            pipeline_window: 0,
-            coalesce: false,
         }
     }
 }
@@ -224,19 +209,6 @@ impl SessionBuilder {
     /// Configures the flight recorder (off by default).
     pub fn trace(mut self, trace: TraceConfig) -> Self {
         self.config.trace = trace;
-        self
-    }
-
-    /// Sets the lockstep round-pipelining window (see
-    /// [`SessionConfig::pipeline_window`]).
-    pub fn pipeline_window(mut self, window: u64) -> Self {
-        self.config.pipeline_window = window;
-        self
-    }
-
-    /// Enables phase frame coalescing (see [`SessionConfig::coalesce`]).
-    pub fn coalesce(mut self, on: bool) -> Self {
-        self.config.coalesce = on;
         self
     }
 
@@ -543,8 +515,6 @@ pub fn try_run_session(sc: SessionConfig) -> Result<SessionOutcome, SessionError
         }
         Driver::Threaded(tc) => {
             let mut tc = tc.clone();
-            tc.pipeline_window = tc.pipeline_window.max(sc.pipeline_window);
-            tc.coalesce |= sc.coalesce;
             let recorder = resolve_recorder(&mut tc.hooks.trace, &sc.trace);
             let run =
                 run_threaded(&shared, engines, rounds, &sc.crashes, &sc.churn, &faults, &tc)?;
@@ -554,8 +524,6 @@ pub fn try_run_session(sc: SessionConfig) -> Result<SessionOutcome, SessionError
         }
         Driver::Tcp(tc) => {
             let mut tc = tc.clone();
-            tc.pipeline_window = tc.pipeline_window.max(sc.pipeline_window);
-            tc.coalesce |= sc.coalesce;
             let recorder = resolve_recorder(&mut tc.hooks.trace, &sc.trace);
             let run = run_tcp(&shared, engines, rounds, &sc.crashes, &sc.churn, &faults, &tc)?;
             let mut outcome = collect_outcome(run.engines, run.report, rounds);

@@ -108,7 +108,7 @@ use crate::faults::FaultPlan;
 use crate::hooks::HostHooks;
 use crate::pool::{run_pool, InboxHandle, PoolQueues, Scheduler};
 use crate::worker::{
-    down_windows, drive_rounds, join_workers, merged_feeds, Charge, Coordination, DriverRun,
+    down_windows, drive_rounds, join_workers, merged_feeds, Coordination, DriverRun,
     Envelope, Link, NetEmulation, NodeCore, Worker,
 };
 
@@ -231,16 +231,6 @@ pub struct TcpConfig {
     /// Host integration hooks (snapshot vault, live status watch).
     /// Defaults to off; hooks never alter engine inputs.
     pub hooks: HostHooks,
-    /// Lockstep round-pipelining window: how many rounds of exchanges
-    /// may run ahead while earlier rounds' monitoring traffic drains.
-    /// `0` (the default) is the classic fully-synchronous schedule;
-    /// verdicts are window-independent by test. Ignored in real-time
-    /// mode.
-    pub pipeline_window: u64,
-    /// Coalesce same-destination frames of a lockstep phase into one
-    /// container frame (membership frames always travel alone). Off by
-    /// default; affects wire framing only, never outcomes.
-    pub coalesce: bool,
 }
 
 impl Default for TcpConfig {
@@ -256,8 +246,6 @@ impl Default for TcpConfig {
             link_kills: Vec::new(),
             addr_probe: None,
             hooks: HostHooks::default(),
-            pipeline_window: 0,
-            coalesce: false,
         }
     }
 }
@@ -828,17 +816,9 @@ fn read_loop(
     let mut framer = StreamFramer::new(max_frame);
     let mut chunk = [0u8; 16 * 1024];
     let forward = |envelope: Envelope| -> bool {
-        // The lane is derived from the envelope bytes themselves, so an
-        // unregistered add here, a mesh sender's registration, and the
-        // worker's eventual `done()` all land on the same lane
-        // (non-frame envelopes — `Malformed`, `HandshakeRejected` —
-        // always gate).
-        let charge = coord
-            .as_ref()
-            .map(|coord| Charge::of_envelope(&envelope, coord.window()));
         if !registered {
-            if let (Some(coord), Some(charge)) = (&coord, charge) {
-                coord.add(charge, 1);
+            if let Some(coord) = &coord {
+                coord.add(1);
             }
         }
         if inbox.send(envelope) {
@@ -846,8 +826,8 @@ fn read_loop(
         }
         // The worker is gone; balance the ledger for the envelope it
         // will never process (a peer's registration or the add above).
-        if let (Some(coord), Some(charge)) = (&coord, charge) {
-            coord.done(charge);
+        if let Some(coord) = &coord {
+            coord.done();
         }
         false
     };
@@ -929,9 +909,7 @@ pub fn run_tcp(
 ) -> Result<TcpRun, TcpSetupError> {
     let ids: Vec<NodeId> = engines.iter().map(|e| e.id()).collect();
     let n = ids.len();
-    let coord = cfg
-        .lockstep
-        .then(|| Arc::new(Coordination::new(n, cfg.pipeline_window)));
+    let coord = cfg.lockstep.then(|| Arc::new(Coordination::new(n)));
     let round_ms = cfg.round_ms.max(1);
     let net_seed = cfg.seed ^ 0x4E45_5445_4D55;
 
@@ -1199,7 +1177,7 @@ pub fn run_tcp(
                 })
                 .collect();
             kills.sort_unstable();
-            let mut core = NodeCore::new(
+            NodeCore::new(
                 idx,
                 id,
                 engine,
@@ -1227,9 +1205,7 @@ pub fn run_tcp(
                 Arc::clone(faults),
                 kills,
                 cfg.hooks.clone(),
-            );
-            core.coalesce = cfg.lockstep && cfg.coalesce;
-            core
+            )
         })
         .collect();
 

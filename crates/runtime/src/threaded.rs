@@ -127,16 +127,6 @@ pub struct ThreadedConfig {
     /// Host integration hooks (snapshot vault, live status watch).
     /// Defaults to off; hooks never alter engine inputs.
     pub hooks: HostHooks,
-    /// Lockstep round-pipelining window: how many rounds of exchanges
-    /// may run ahead while earlier rounds' monitoring traffic drains.
-    /// `0` (the default) is the classic fully-synchronous schedule;
-    /// verdicts are window-independent by test. Ignored in real-time
-    /// mode.
-    pub pipeline_window: u64,
-    /// Coalesce same-destination frames of a lockstep phase into one
-    /// container frame (membership frames always travel alone). Off by
-    /// default; affects wire framing only, never outcomes.
-    pub coalesce: bool,
 }
 
 impl Default for ThreadedConfig {
@@ -148,8 +138,6 @@ impl Default for ThreadedConfig {
             net: None,
             scheduler: Scheduler::ThreadPerNode,
             hooks: HostHooks::default(),
-            pipeline_window: 0,
-            coalesce: false,
         }
     }
 }
@@ -192,9 +180,7 @@ pub fn run_threaded(
 ) -> Result<ThreadedRun, ThreadedSetupError> {
     let ids: Vec<NodeId> = engines.iter().map(|e| e.id()).collect();
     let n = ids.len();
-    let coord = cfg
-        .lockstep
-        .then(|| Arc::new(Coordination::new(n, cfg.pipeline_window)));
+    let coord = cfg.lockstep.then(|| Arc::new(Coordination::new(n)));
     let epoch = Instant::now();
     let round_ms = cfg.round_ms.max(1);
     let net_seed = cfg.seed ^ 0x4E45_5445_4D55;
@@ -212,7 +198,7 @@ pub fn run_threaded(
             let mut handles = Vec::with_capacity(n);
             for (idx, (engine, rx)) in engines.into_iter().zip(receivers).enumerate() {
                 let id = ids[idx];
-                let mut core = NodeCore::new(
+                let core = NodeCore::new(
                     idx,
                     id,
                     engine,
@@ -231,7 +217,6 @@ pub fn run_threaded(
                     Vec::new(),
                     cfg.hooks.clone(),
                 );
-                core.coalesce = cfg.lockstep && cfg.coalesce;
                 let worker = Worker { core, rx };
                 match thread::Builder::new()
                     .name(format!("pag-{id}"))
@@ -264,7 +249,7 @@ pub fn run_threaded(
                 .enumerate()
                 .map(|(idx, engine)| {
                     let id = ids[idx];
-                    let mut core = NodeCore::new(
+                    NodeCore::new(
                         idx,
                         id,
                         engine,
@@ -280,9 +265,7 @@ pub fn run_threaded(
                         Arc::clone(faults),
                         Vec::new(),
                         cfg.hooks.clone(),
-                    );
-                    core.coalesce = cfg.lockstep && cfg.coalesce;
-                    core
+                    )
                 })
                 .collect();
             let threads = Scheduler::resolve_threads(size, n);

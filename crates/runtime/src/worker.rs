@@ -44,11 +44,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use pag_core::engine::{Effect, Input, PagEngine};
-use pag_core::messages::{CLASS_ACCUSATION, CLASS_MEMBERSHIP, CLASS_MONITORING};
-use pag_core::wire::{
-    decode_coalesced, decode_frame, encode_coalesced, encode_frame, is_coalesced,
-    peek_class_round, TrafficClass,
-};
+use pag_core::messages::CLASS_MEMBERSHIP;
+use pag_core::wire::{decode_frame, encode_frame, TrafficClass};
 use pag_core::WireConfig;
 use pag_membership::NodeId;
 use pag_obs::{CryptoOp, EventKind, NodeRecorder, Phase};
@@ -271,93 +268,16 @@ pub(crate) enum Envelope {
     Stop,
 }
 
-/// Which lane of the quiescence ledger an envelope is charged to.
-///
-/// Pipelined lockstep (window > 0) lets a round's monitoring aftermath
-/// drain while the next rounds' exchanges run. The split is decided by
-/// traffic class, peeked off the final frame bytes identically at both
-/// ends of a link (so sender charge and receiver discharge always
-/// match, even for deliberately corrupted frames):
-///
-/// - **Gating** — phase envelopes, data-plane frames (control, updates,
-///   buffermaps), membership announcements, and anything unpeekable.
-///   The round barrier waits for these.
-/// - **Deferred** — monitoring and accusation frames (classes 3–4).
-///   Only awaited before a round's timer phases, where monitors
-///   evaluate; their delivery handlers are round-keyed (and views are
-///   pinned per round), so late delivery is unobservable. Deferred
-///   delivery cascades only ever emit more deferred sends — the
-///   monitoring handlers answer with monitoring/accusation messages,
-///   never data-plane traffic — which `NodeCore::ship` asserts in debug
-///   builds; a gating send escaping a deferred cascade could race the
-///   next phase broadcast.
-///
-/// At window 0 everything is Gating and the two-lane ledger collapses
-/// to the classic single counter, bit-for-bit.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum Charge {
-    Gating,
-    Deferred,
-}
-
-impl Charge {
-    /// The charge of an encoded frame under `window`.
-    pub(crate) fn of_frame(bytes: &[u8], window: u64) -> Charge {
-        if window == 0 {
-            return Charge::Gating;
-        }
-        match peek_class_round(bytes) {
-            Some((class, _)) if class == CLASS_MONITORING || class == CLASS_ACCUSATION => {
-                Charge::Deferred
-            }
-            _ => Charge::Gating,
-        }
-    }
-
-    /// The charge of a scheduler envelope: frames peek their bytes,
-    /// everything else (phases, transport notifications) gates.
-    pub(crate) fn of_envelope(envelope: &Envelope, window: u64) -> Charge {
-        match envelope {
-            Envelope::Frame { bytes } => Charge::of_frame(bytes, window),
-            _ => Charge::Gating,
-        }
-    }
-}
-
-/// The two-lane outstanding-envelope count behind [`Coordination`].
-#[derive(Clone, Copy, Default)]
-struct Ledger {
-    gating: u64,
-    deferred: u64,
-}
-
-impl Ledger {
-    fn lane(&mut self, charge: Charge) -> &mut u64 {
-        match charge {
-            Charge::Gating => &mut self.gating,
-            Charge::Deferred => &mut self.deferred,
-        }
-    }
-
-    fn total(&self) -> u64 {
-        self.gating + self.deferred
-    }
-}
-
-/// Quiescence tracking for lockstep mode: a two-lane count of
-/// outstanding envelopes plus each node's next timer deadline.
+/// Quiescence tracking for lockstep mode: the count of outstanding
+/// envelopes plus each node's next timer deadline.
 pub(crate) struct Coordination {
-    pending: Mutex<Ledger>,
+    pending: Mutex<u64>,
     quiet: Condvar,
     deadlines: Mutex<Vec<Option<u64>>>,
     /// Set when a worker panics, so `wait_quiet` unblocks instead of
     /// waiting forever on work the dead thread can no longer drain; the
     /// coordinator then joins and propagates the original panic.
     aborted: std::sync::atomic::AtomicBool,
-    /// Pipeline window: how many rounds ahead the barrier may run
-    /// before a round's monitoring traffic must have drained. 0 is the
-    /// classic fully-lockstep schedule.
-    window: u64,
 }
 
 /// Locks `m`, recovering the guard when a panicking thread poisoned
@@ -386,18 +306,13 @@ fn wait_unpoisoned<'a, T>(
 }
 
 impl Coordination {
-    pub(crate) fn new(nodes: usize, window: u64) -> Self {
+    pub(crate) fn new(nodes: usize) -> Self {
         Coordination {
-            pending: Mutex::new(Ledger::default()),
+            pending: Mutex::new(0),
             quiet: Condvar::new(),
             deadlines: Mutex::new(vec![None; nodes]),
             aborted: std::sync::atomic::AtomicBool::new(false),
-            window,
         }
-    }
-
-    pub(crate) fn window(&self) -> u64 {
-        self.window
     }
 
     pub(crate) fn abort(&self) {
@@ -411,48 +326,33 @@ impl Coordination {
         self.aborted.load(std::sync::atomic::Ordering::SeqCst)
     }
 
-    /// Registers `n` envelopes about to be enqueued on `charge`'s lane.
-    /// Always called *before* the matching `send`, so the counter can
-    /// never observe zero while work is in flight.
-    pub(crate) fn add(&self, charge: Charge, n: u64) {
-        *lock_unpoisoned(&self.pending).lane(charge) += n;
+    /// Registers `n` envelopes about to be enqueued. Always called
+    /// *before* the matching `send`, so the counter can never observe
+    /// zero while work is in flight.
+    pub(crate) fn add(&self, n: u64) {
+        *lock_unpoisoned(&self.pending) += n;
     }
 
     /// Marks one envelope fully processed (all its own sends already
     /// registered). Every forwarding path registers its envelopes
     /// (senders before the link write, transports before forwarding
-    /// unsolicited input) with the charge peeked off the same bytes the
-    /// receiver discharges, so both lanes are balanced by construction;
+    /// unsolicited input), so the counter is balanced by construction;
     /// saturating arithmetic is a backstop so a bookkeeping bug in a
     /// future transport degrades determinism instead of wrapping the
     /// ledger and deadlocking `wait_quiet`.
-    pub(crate) fn done(&self, charge: Charge) {
+    pub(crate) fn done(&self) {
         let mut p = lock_unpoisoned(&self.pending);
-        let lane = p.lane(charge);
-        *lane = lane.saturating_sub(1);
-        if p.gating == 0 {
+        *p = p.saturating_sub(1);
+        if *p == 0 {
             self.quiet.notify_all();
         }
     }
 
-    /// Blocks until every envelope on **both** lanes (and the cascades
-    /// they spawned) is processed, or until a worker aborted. Run
-    /// before a round's timer phases: monitors must have seen all of
-    /// the round's monitoring traffic before they evaluate.
+    /// Blocks until every outstanding envelope (and the cascades they
+    /// spawned) is processed, or until a worker aborted.
     pub(crate) fn wait_quiet(&self) {
         let mut p = lock_unpoisoned(&self.pending);
-        while p.total() != 0 && !self.is_aborted() {
-            p = wait_unpoisoned(&self.quiet, p);
-        }
-    }
-
-    /// Blocks until the gating lane is quiet — deferred monitoring
-    /// traffic may still be in flight. The round/flush barriers use
-    /// this; at window 0 it is [`Coordination::wait_quiet`] exactly
-    /// (every charge gates).
-    pub(crate) fn wait_gating_quiet(&self) {
-        let mut p = lock_unpoisoned(&self.pending);
-        while p.gating != 0 && !self.is_aborted() {
+        while *p != 0 && !self.is_aborted() {
             p = wait_unpoisoned(&self.quiet, p);
         }
     }
@@ -567,15 +467,6 @@ pub(crate) struct NodeCore<L: Link> {
     /// Lockstep: frames produced during round start, held for `Flush`.
     pub(crate) stash: Vec<(NodeId, Vec<u8>, TrafficClass)>,
     pub(crate) buffering: bool,
-    /// Lockstep frame coalescing: at `Flush`, same-destination stashed
-    /// frames of one barrier charge merge into a single container
-    /// frame (membership announcements always travel alone — they are
-    /// exempt from loss emulation, which decides per wire frame).
-    pub(crate) coalesce: bool,
-    /// True while delivering a deferred-charged frame; `ship` asserts
-    /// (debug builds) that deferred cascades never emit gating frames,
-    /// which could race the next phase broadcast past the barrier.
-    in_deferred: bool,
     /// Real-time mode: wall-clock epoch and per-round milliseconds.
     pub(crate) epoch: Instant,
     pub(crate) round_ms: u64,
@@ -646,8 +537,6 @@ impl<L: Link> NodeCore<L> {
             effects: Vec::new(),
             stash: Vec::new(),
             buffering: false,
-            coalesce: false,
-            in_deferred: false,
             epoch,
             round_ms: round_ms.max(1),
             churn,
@@ -823,16 +712,11 @@ impl<L: Link> NodeCore<L> {
             }
         }
         if let Some(coord) = &self.coord {
-            let charge = Charge::of_frame(&frame, coord.window());
-            debug_assert!(
-                !(self.in_deferred && charge == Charge::Gating),
-                "deferred delivery cascade emitted a gating frame"
-            );
-            coord.add(charge, 1);
+            coord.add(1);
             // A receiver that already stopped (or retired) is fine to
             // lose.
             if !self.link.send_frame(to, frame) {
-                coord.done(charge);
+                coord.done();
             }
         } else {
             let _ = self.link.send_frame(to, frame);
@@ -892,9 +776,6 @@ impl<L: Link> NodeCore<L> {
     /// dropped and counted — never a panic, whatever the transport
     /// carried them.
     fn deliver(&mut self, frame: Vec<u8>) {
-        if is_coalesced(&frame) {
-            return self.deliver_coalesced(frame);
-        }
         let parsed = match decode_frame(&frame, &self.wire) {
             Ok(parsed) if parsed.to == self.id => parsed,
             Ok(_misrouted) => return self.reject_frame(),
@@ -906,36 +787,6 @@ impl<L: Link> NodeCore<L> {
             from: parsed.from,
             msg: parsed.msg,
         });
-    }
-
-    /// Unpacks a coalesced container and delivers each inner frame.
-    /// Container overhead is accounted to the first inner frame's
-    /// peeked class, mirroring the sender; inner frames then account
-    /// and deliver exactly like individually-shipped ones.
-    fn deliver_coalesced(&mut self, container: Vec<u8>) {
-        let (_, to, inner) = match decode_coalesced(&container) {
-            Ok(parts) => parts,
-            Err(_) => return self.reject_frame(),
-        };
-        if to != self.id {
-            return self.reject_frame();
-        }
-        let inner_total: usize = inner.iter().map(Vec::len).sum();
-        let class = inner
-            .first()
-            .and_then(|f| peek_class_round(f))
-            .map_or(TrafficClass::DEFAULT, |(c, _)| c);
-        self.traffic
-            .record_recv_overhead(container.len() - inner_total, class);
-        for frame in inner {
-            if is_coalesced(&frame) {
-                // Our encoder never nests containers; hostile input
-                // might, and must not recurse.
-                self.reject_frame();
-            } else {
-                self.deliver(frame);
-            }
-        }
     }
 
     /// Fires every pending timer due at or before `upto`, in (due,
@@ -1117,26 +968,15 @@ impl<L: Link> NodeCore<L> {
     /// lockstep phase step, shared verbatim by the thread-per-node loop
     /// and the pool scheduler so their runs cannot diverge. `Stop` and
     /// `Wake` are scheduler-level commands and no-ops here.
-    ///
-    /// Returns the ledger lane this envelope was charged to, so the
-    /// scheduler's `done` discharges the same lane the sender charged
-    /// (both peek the same frame bytes).
-    pub(crate) fn lockstep_envelope(&mut self, envelope: Envelope) -> Charge {
-        let window = self.coord.as_deref().map_or(0, Coordination::window);
-        let charge = Charge::of_envelope(&envelope, window);
+    pub(crate) fn lockstep_envelope(&mut self, envelope: Envelope) {
         // Phase spans: bracket the three lockstep phases with
         // begin/end events when traced. Frame/notification envelopes
-        // are covered by the crypto timing inside `feed` instead. A
-        // timer phase may run for a round the pipeline window already
-        // moved past, so its round comes from the deadline, not from
-        // `self.round`.
+        // are covered by the crypto timing inside `feed` instead.
         let span = if self.rec.is_some() {
             match &envelope {
                 Envelope::Round(round) => Some((Phase::Round, *round, Instant::now())),
                 Envelope::Flush => Some((Phase::Flush, self.round, Instant::now())),
-                Envelope::TimersUpTo(upto) => {
-                    Some((Phase::Timers, *upto / VIRTUAL_ROUND_MS, Instant::now()))
-                }
+                Envelope::TimersUpTo(_) => Some((Phase::Timers, self.round, Instant::now())),
                 _ => None,
             }
         } else {
@@ -1147,7 +987,6 @@ impl<L: Link> NodeCore<L> {
                 rec.record(EventKind::PhaseBegin { round, phase });
             }
         }
-        self.in_deferred = charge == Charge::Deferred;
         match envelope {
             Envelope::Round(round) => self.enter_round(round),
             Envelope::Frame { bytes } => {
@@ -1160,13 +999,8 @@ impl<L: Link> NodeCore<L> {
             Envelope::ConnectionDropped => self.note_connection_dropped(),
             Envelope::HandshakeRejected => self.note_handshake_rejected(),
             Envelope::Flush => {
-                let stash = std::mem::take(&mut self.stash);
-                if self.coalesce {
-                    self.flush_coalesced(stash);
-                } else {
-                    for (to, frame, class) in stash {
-                        self.ship(to, frame, class);
-                    }
+                for (to, frame, class) in std::mem::take(&mut self.stash) {
+                    self.ship(to, frame, class);
                 }
             }
             Envelope::TimersUpTo(upto) => {
@@ -1178,7 +1012,6 @@ impl<L: Link> NodeCore<L> {
             }
             Envelope::Wake | Envelope::Stop => {}
         }
-        self.in_deferred = false;
         if let Some((phase, round, t0)) = span {
             let wall_us = t0.elapsed().as_micros() as u64;
             if let Some(rec) = self.rec.as_deref_mut() {
@@ -1187,55 +1020,6 @@ impl<L: Link> NodeCore<L> {
                     phase,
                     wall_us,
                 });
-            }
-        }
-        charge
-    }
-
-    /// Ships the flushed stash with same-destination frames of one
-    /// barrier charge merged into coalesced containers. Membership
-    /// announcements always ship alone: loss emulation exempts them
-    /// per wire frame, and a container is lost as a whole.
-    fn flush_coalesced(&mut self, stash: Vec<(NodeId, Vec<u8>, TrafficClass)>) {
-        let window = self.coord.as_deref().map_or(0, Coordination::window);
-        let mut groups: Vec<(NodeId, Charge, TrafficClass, Vec<Vec<u8>>)> = Vec::new();
-        for (to, frame, class) in stash {
-            if class == CLASS_MEMBERSHIP {
-                self.ship(to, frame, class);
-                continue;
-            }
-            let charge = Charge::of_frame(&frame, window);
-            match groups
-                .iter_mut()
-                .find(|(t, c, _, _)| *t == to && *c == charge)
-            {
-                Some((_, _, _, frames)) => frames.push(frame),
-                None => groups.push((to, charge, class, vec![frame])),
-            }
-        }
-        for (to, _, class, frames) in groups {
-            if frames.len() == 1 {
-                for frame in frames {
-                    self.ship(to, frame, class);
-                }
-                continue;
-            }
-            let inner_total: usize = frames.iter().map(Vec::len).sum();
-            match encode_coalesced(self.id, to, &frames) {
-                Ok(container) => {
-                    // Inner frames were accounted at encode time; the
-                    // container framing overhead goes to the group's
-                    // first class, mirrored by `deliver_coalesced`.
-                    self.traffic
-                        .record_send_overhead(container.len() - inner_total, class);
-                    self.ship(to, container, class);
-                }
-                // Overflowed container limits: ship singly instead.
-                Err(_) => {
-                    for frame in frames {
-                        self.ship(to, frame, class);
-                    }
-                }
             }
         }
     }
@@ -1341,9 +1125,9 @@ impl<L: Link> Worker<L> {
             if matches!(envelope, Envelope::Stop) {
                 break;
             }
-            let charge = self.core.lockstep_envelope(envelope);
+            self.core.lockstep_envelope(envelope);
             coord.publish_deadline(self.core.idx, self.core.next_deadline());
-            coord.done(charge);
+            coord.done();
         }
     }
 
@@ -1399,15 +1183,14 @@ pub(crate) trait ClockSink {
 impl ClockSink for BTreeMap<NodeId, Sender<Envelope>> {
     fn broadcast(&self, coord: Option<&Arc<Coordination>>, make: &dyn Fn() -> Envelope) {
         // Channel workers never retire: every sender stays live for the
-        // whole run, so the whole map is the snapshot. Phase envelopes
-        // always gate.
+        // whole run, so the whole map is the snapshot.
         if let Some(coord) = coord {
-            coord.add(Charge::Gating, self.len() as u64);
+            coord.add(self.len() as u64);
         }
         for tx in self.values() {
             if tx.send(make()).is_err() {
                 if let Some(coord) = coord {
-                    coord.done(Charge::Gating);
+                    coord.done();
                 }
             }
         }
@@ -1428,46 +1211,31 @@ pub(crate) fn drive_rounds(
 ) {
     match coord {
         Some(coord) => {
-            // Deterministic lockstep, pipelined by `coord.window()`
-            // rounds: the round/flush barriers wait only for the
-            // gating lane (data-plane exchanges, phase envelopes), so
-            // a round's monitoring aftermath drains while up to
-            // `window` later rounds run their exchanges. A round's
-            // timer phases — where monitors evaluate — run once the
-            // pipeline has moved `window` rounds past it, behind a
-            // full-ledger barrier that guarantees every deferred frame
-            // (of that round and all earlier ones) has been delivered.
-            // At window 0 every charge gates and this reproduces the
-            // classic schedule envelope-for-envelope.
-            let window = coord.window();
-            let mut awaiting: std::collections::VecDeque<u64> =
-                std::collections::VecDeque::new();
+            // Deterministic lockstep: barrier per round start, then one
+            // barrier per distinct timer deadline within the round.
             'rounds: for round in 0..rounds {
                 sink.broadcast(Some(coord), &|| Envelope::Round(round));
-                coord.wait_gating_quiet();
+                coord.wait_quiet();
                 // Every node started the round; now release the stashed
                 // round-start frames and let the cascades settle.
                 sink.broadcast(Some(coord), &|| Envelope::Flush);
-                coord.wait_gating_quiet();
-                awaiting.push_back(round);
-                while let Some(&r0) = awaiting.front() {
-                    if round - r0 < window {
+                coord.wait_quiet();
+                // Timer phases — ack checks, monitor evaluation, exhibit
+                // resolution: every deadline strictly before the next
+                // round opens.
+                let round_end = (round + 1) * VIRTUAL_ROUND_MS;
+                while let Some(deadline) = coord.min_deadline() {
+                    if deadline >= round_end || coord.is_aborted() {
                         break;
                     }
-                    awaiting.pop_front();
-                    run_timer_phases(sink, coord, r0);
+                    sink.broadcast(Some(coord), &|| Envelope::TimersUpTo(deadline));
+                    coord.wait_quiet();
+                    sink.broadcast(Some(coord), &|| Envelope::Flush);
+                    coord.wait_quiet();
                 }
                 if coord.is_aborted() {
                     break 'rounds;
                 }
-            }
-            // Tail: the last `window` rounds still owe their timer
-            // phases (empty unless pipelined).
-            for r0 in awaiting {
-                if coord.is_aborted() {
-                    break;
-                }
-                run_timer_phases(sink, coord, r0);
             }
         }
         None => {
@@ -1484,28 +1252,6 @@ pub(crate) fn drive_rounds(
 
     // Stop is a scheduler command, not phase work: never ledger-counted.
     sink.broadcast(None, &|| Envelope::Stop);
-}
-
-/// Runs round `r0`'s timer phases: ack checks, monitor evaluation and
-/// exhibit resolution, i.e. every deadline strictly before round
-/// `r0 + 1` opens. Entered behind a **full**-ledger barrier so every
-/// deferred (monitoring/accusation) frame of rounds `<= r0` — and, when
-/// pipelined, of the later rounds already in flight — has been
-/// delivered before any monitor evaluates. Deadlines published by rounds
-/// beyond `r0` sit at or past `(r0 + 1) * VIRTUAL_ROUND_MS` and are left
-/// for their own turn.
-fn run_timer_phases(sink: &dyn ClockSink, coord: &Arc<Coordination>, r0: u64) {
-    coord.wait_quiet();
-    let round_end = (r0 + 1) * VIRTUAL_ROUND_MS;
-    while let Some(deadline) = coord.min_deadline() {
-        if deadline >= round_end || coord.is_aborted() {
-            break;
-        }
-        sink.broadcast(Some(coord), &|| Envelope::TimersUpTo(deadline));
-        coord.wait_quiet();
-        sink.broadcast(Some(coord), &|| Envelope::Flush);
-        coord.wait_quiet();
-    }
 }
 
 /// Joins every worker thread and assembles the run outcome.
@@ -1581,6 +1327,78 @@ mod tests {
         }
         assert!(NetEmulation::loss(0.0).is_ok());
         assert!(NetEmulation::loss(1.0).is_ok());
+    }
+
+    /// A link that accepts and discards everything: the hostile-input
+    /// test below only feeds the inbound side.
+    struct NullLink;
+
+    impl Link for NullLink {
+        fn send_frame(&mut self, _to: NodeId, _frame: Vec<u8>) -> bool {
+            true
+        }
+    }
+
+    fn core_for(id: NodeId, shared: &Arc<pag_core::SharedContext>) -> NodeCore<NullLink> {
+        let engine = PagEngine::new(
+            id,
+            Arc::clone(shared),
+            pag_core::SelfishStrategy::Honest,
+            7,
+        );
+        NodeCore::new(
+            id.value() as usize,
+            id,
+            engine,
+            shared.config.wire.clone(),
+            NullLink,
+            None,
+            Vec::new(),
+            Vec::new(),
+            Instant::now(),
+            1000,
+            None,
+            0,
+            Arc::new(FaultPlan::default()),
+            Vec::new(),
+            HostHooks::default(),
+        )
+    }
+
+    /// Hostile input on the path mesh peers and the in-process channel
+    /// reach (no transport pre-screen): a well-formed PR 10 multi-frame
+    /// container — tag `0xC1`, from, to, count, u32-length-prefixed
+    /// inner frames — wrapping a frame this node would accept on its
+    /// own is one rejected frame, and nothing inside it is delivered.
+    #[test]
+    fn former_container_frame_is_rejected_whole() {
+        let shared = pag_core::SharedContext::new(pag_core::PagConfig::default(), 4);
+        let me = NodeId(1);
+        let msg = shared.sign(
+            NodeId(0),
+            pag_core::messages::MessageBody::KeyRequest { round: 0 },
+        );
+        let Ok(inner) = encode_frame(NodeId(0), me, &msg, &shared.config.wire) else {
+            panic!("a signed KeyRequest encodes under the default profile");
+        };
+
+        // Control: shipped on its own, the inner frame is delivered.
+        let mut plain = core_for(me, &shared);
+        plain.realtime_envelope(Envelope::Frame { bytes: inner.clone() });
+        assert_eq!(plain.traffic.recv_msgs, 1);
+        assert_eq!(plain.engine.metrics().frames_rejected, 0);
+
+        let mut container = vec![0xC1];
+        container.extend_from_slice(&0u32.to_be_bytes()); // from
+        container.extend_from_slice(&me.value().to_be_bytes()); // to
+        container.extend_from_slice(&1u16.to_be_bytes()); // count
+        container.extend_from_slice(&(inner.len() as u32).to_be_bytes());
+        container.extend_from_slice(&inner);
+        let mut core = core_for(me, &shared);
+        core.realtime_envelope(Envelope::Frame { bytes: container });
+        assert_eq!(core.engine.metrics().frames_rejected, 1, "exactly one rejection");
+        assert_eq!(core.traffic.recv_msgs, 0, "inner frame must not be delivered");
+        assert_eq!(core.traffic.recv_bytes, 0, "nothing accounted");
     }
 
     #[test]

@@ -545,3 +545,80 @@ fn tcp_crash_goes_silent() {
     // simulator exactly too.
     assert_equivalent(&sim, &tcp);
 }
+
+// ---------------------------------------------------------------------
+// Absolute pins: golden numbers recorded on the lockstep scheduler
+// before PR 10 and carried unedited since. Everything above compares
+// drivers with each other; these are the only place a drift common to
+// all of them shows. Any change here is a behavioral regression, not
+// an acceptable re-baseline.
+// ---------------------------------------------------------------------
+
+#[test]
+fn lockstep_goldens() {
+    // Scenario 1: honest, traced, pooled.
+    let mut sc = base(10, 6);
+    sc.trace = TraceConfig::on();
+    let o = on_pool(sc, 3);
+    let ops = o.total_ops();
+    assert_eq!(
+        (ops.hashes, ops.signatures, ops.verifications, ops.primes),
+        (4570, 2286, 2876, 180),
+        "golden1 ops"
+    );
+    let sent: u64 = o.report.per_node.values().map(|t| t.sent_bytes).sum();
+    let recv: u64 = o.report.per_node.values().map(|t| t.recv_bytes).sum();
+    let msgs: u64 = o.report.per_node.values().map(|t| t.sent_msgs).sum();
+    assert_eq!((sent, recv, msgs), (1_847_626, 1_847_626, 2286), "golden1 traffic");
+    assert!(o.verdicts.is_empty(), "golden1 verdicts");
+    let t = o.trace.as_ref().expect("traced run");
+    assert_eq!(t.dropped, 0, "golden1 ring drops");
+    // Per-kind counts, excluding barrier_stall (wall-clock dependent).
+    let mut by_kind = std::collections::BTreeMap::new();
+    for ev in &t.events {
+        *by_kind.entry(ev.kind.tag()).or_insert(0u64) += 1;
+    }
+    by_kind.remove("barrier_stall");
+    let expect: std::collections::BTreeMap<&str, u64> = [
+        ("crypto_ops", 3915),
+        ("phase_begin", 480),
+        ("phase_end", 480),
+        ("round_enter", 60),
+        ("round_exit", 60),
+    ]
+    .into_iter()
+    .collect();
+    let got: std::collections::BTreeMap<&str, u64> =
+        by_kind.iter().map(|(k, &v)| (*k, v)).collect();
+    assert_eq!(got, expect, "golden1 trace kinds");
+
+    // Scenario 2: no-ack freerider (accusation path), pooled.
+    let mut sc = base(12, 5);
+    sc.selfish.push((NodeId(3), SelfishStrategy::NoAck));
+    let o = on_pool(sc, 2);
+    let ops = o.total_ops();
+    assert_eq!(
+        (ops.hashes, ops.signatures, ops.verifications, ops.primes),
+        (4113, 2439, 2985, 180),
+        "golden2 ops"
+    );
+    let sent: u64 = o.report.per_node.values().map(|t| t.sent_bytes).sum();
+    assert_eq!(sent, 1_964_772, "golden2 sent bytes");
+    assert_eq!(o.convicted(), vec![NodeId(3)], "golden2 conviction");
+    assert_eq!(o.verdicts.len(), 30, "golden2 verdict count");
+
+    // Scenario 3: churn (joins + leaves), pooled.
+    let mut sc = base(12, 8);
+    sc.churn = ChurnSchedule::steady(SEED, 12, 8, 1, 1).events().to_vec();
+    let o = on_pool(sc, 3);
+    let ops = o.total_ops();
+    assert_eq!(
+        (ops.hashes, ops.signatures, ops.verifications, ops.primes),
+        (7508, 3961, 4910, 288),
+        "golden3 ops"
+    );
+    let sent: u64 = o.report.per_node.values().map(|t| t.sent_bytes).sum();
+    let recv: u64 = o.report.per_node.values().map(|t| t.recv_bytes).sum();
+    assert_eq!((sent, recv), (3_136_153, 3_136_153), "golden3 traffic");
+    assert!(o.verdicts.is_empty(), "golden3 verdicts");
+}

@@ -16,7 +16,7 @@ use pag_crypto::Signature;
 use pag_membership::NodeId;
 use pag_runtime::{
     run_session, try_run_session, Driver, NetEmulation, Scheduler, SessionConfig, SessionError,
-    TcpConfig, ThreadedConfig,
+    SessionOutcome, TcpConfig, ThreadedConfig,
 };
 use pag_simnet::SimConfig;
 
@@ -200,21 +200,20 @@ fn hostile_socket_bytes_are_rejected_not_fatal() {
     );
 }
 
-/// Hostile bytes during a **lockstep** session must not perturb the
-/// barrier ledger: unsolicited envelopes are registered by the reader
-/// before forwarding, so they can never consume a legitimate frame's
-/// quiescence credit and release a phase early. The injected run must
-/// therefore match the simulator *exactly* — same verdicts (none),
-/// same delivery maps, same traffic — with only the rejection counters
-/// showing the attack happened.
-#[test]
-fn hostile_bytes_in_lockstep_stay_simnet_equivalent() {
-    let nodes = 10;
-    let rounds = 6;
-
+/// Runs the same honest session on the simulator and on lockstep TCP
+/// while `attack` writes to every node's listener, and holds the two
+/// runs equal on verdicts (none), delivery maps, crypto ops and
+/// traffic — hostile bytes may only show in the rejection counters.
+/// Returns the TCP outcome for the caller's counter assertions.
+fn lockstep_under_attack(
+    nodes: usize,
+    rounds: u64,
+    seed: u64,
+    attack: impl Fn(NodeId, &mut TcpStream) + Send + 'static,
+) -> SessionOutcome {
     let mut sim_sc = base(nodes, rounds);
     sim_sc.driver = Driver::Simnet(SimConfig {
-        seed: 11,
+        seed,
         ..SimConfig::default()
     });
     let sim = run_session(sim_sc);
@@ -223,19 +222,14 @@ fn hostile_bytes_in_lockstep_stay_simnet_equivalent() {
     let mut sc = base(nodes, rounds);
     sc.driver = Driver::Tcp(TcpConfig {
         lockstep: true,
-        seed: 11,
+        seed,
         addr_probe: Some(probe_tx),
         ..TcpConfig::default()
     });
     let injector = std::thread::spawn(move || {
-        for (_, addr) in probe_rx.iter().take(nodes) {
+        for (id, addr) in probe_rx.iter().take(nodes) {
             let mut conn = TcpStream::connect(addr).expect("connect to node listener");
-            conn.write_all(
-                &encode_stream_frame(&[0x5Au8; 40], MAX_STREAM_FRAME_BYTES).unwrap(),
-            )
-            .expect("inject garbage frame");
-            conn.write_all(&(u32::MAX).to_be_bytes())
-                .expect("inject oversized prefix");
+            attack(id, &mut conn);
         }
     });
     let tcp = run_session(sc);
@@ -251,9 +245,63 @@ fn hostile_bytes_in_lockstep_stay_simnet_equivalent() {
         let t_tcp = &tcp.report.per_node[id];
         assert_eq!(t_sim.sent_bytes, t_tcp.sent_bytes, "sent bytes at {id}");
         assert_eq!(t_sim.recv_bytes, t_tcp.recv_bytes, "recv bytes at {id}");
+        assert_eq!(t_sim.recv_msgs, t_tcp.recv_msgs, "recv msgs at {id}");
     }
+    tcp
+}
+
+/// Hostile bytes during a **lockstep** session must not perturb the
+/// barrier ledger: unsolicited envelopes are registered by the reader
+/// before forwarding, so they can never consume a legitimate frame's
+/// quiescence credit and release a phase early. The injected run must
+/// therefore match the simulator *exactly* — same verdicts (none),
+/// same delivery maps, same traffic — with only the rejection counters
+/// showing the attack happened.
+#[test]
+fn hostile_bytes_in_lockstep_stay_simnet_equivalent() {
+    let tcp = lockstep_under_attack(10, 6, 11, |_, conn| {
+        conn.write_all(&encode_stream_frame(&[0x5Au8; 40], MAX_STREAM_FRAME_BYTES).unwrap())
+            .expect("inject garbage frame");
+        conn.write_all(&(u32::MAX).to_be_bytes())
+            .expect("inject oversized prefix");
+    });
     let rejected: u64 = tcp.metrics.values().map(|m| m.frames_rejected).sum();
     assert!(rejected > 0, "the attack left a trace in the rejection counters");
+}
+
+/// PR 10's multi-frame container (tag `0xC1`, from, to, count, then
+/// u32-length-prefixed inner frames) is no frame format any more. One
+/// well-formed container per node, each wrapping a frame the node would
+/// accept on its own, is exactly one rejected frame per node: nothing
+/// inside is delivered or accounted (the run stays simnet-equivalent
+/// byte for byte), and a single one does not trip the flood limiter.
+#[test]
+fn former_container_from_a_socket_is_one_rejection() {
+    let tcp = lockstep_under_attack(8, 8, 13, |id, conn| {
+        let wire = WireConfig::default();
+        let inner = encode_frame(
+            NodeId(0),
+            id,
+            &SignedMessage {
+                body: MessageBody::KeyRequest { round: 0 },
+                sig: Signature::from_bytes(vec![0xAB; wire.signature]),
+            },
+            &wire,
+        )
+        .expect("test frame encodes");
+        let mut container = vec![0xC1];
+        container.extend_from_slice(&0u32.to_be_bytes()); // from
+        container.extend_from_slice(&id.value().to_be_bytes()); // to
+        container.extend_from_slice(&1u16.to_be_bytes()); // count
+        container.extend_from_slice(&(inner.len() as u32).to_be_bytes());
+        container.extend_from_slice(&inner);
+        conn.write_all(&encode_stream_frame(&container, MAX_STREAM_FRAME_BYTES).unwrap())
+            .expect("inject container");
+    });
+    for (id, m) in &tcp.metrics {
+        assert_eq!(m.frames_rejected, 1, "node {id}: one container, one rejection");
+        assert_eq!(m.connections_dropped, 0, "node {id}: limiter tripped by one frame");
+    }
 }
 
 /// Socket-hardening satellite (ROADMAP): a connection that floods a
