@@ -51,8 +51,8 @@ const RUNS: usize = 3;
 const CHURN_NODES: usize = 50;
 const CHURN_ROUNDS: u64 = 6;
 const CHURN_RATE: usize = 2;
-/// The worker-pool scenario: the scale the thread-per-node scheduler
-/// cannot host (ISSUE 5 / DESIGN.md §11).
+/// The worker-pool scenario: gossip scale on a fixed thread pool
+/// (DESIGN.md §11).
 const POOL_NODES: usize = 1000;
 const POOL_ROUNDS: u64 = 3;
 /// The hosted scenario: two concurrent authenticated TCP sessions on
@@ -144,15 +144,15 @@ fn main() {
     assert_eq!(tcp_rejected, 0, "clean session rejected frames");
 
     // The pooled scheduler, twice. First at the static scenario's own
-    // size: its crypto ops must be bit-identical to the thread-per-node
-    // baseline (scheduler equivalence — assert it). Then at gossip
+    // size: its crypto ops must be bit-identical to the static simnet
+    // run above (driver equivalence — assert it). Then at gossip
     // scale, the session shape that motivates the pool: one run, since
     // the 1000-node figure is a trend line, not a microbenchmark.
     let (_, pooled_small) = measure(1, || pooled_session(nodes, rounds));
     assert_eq!(
         pooled_small.total_ops(),
         ops,
-        "pooled scheduler diverged from thread-per-node on crypto ops"
+        "pooled scheduler diverged from the simnet run on crypto ops"
     );
     let (pool_ms, pooled) = measure(1, || pooled_session(pool_nodes, pool_rounds));
     let pool_ops = pooled.total_ops();
@@ -281,7 +281,7 @@ fn main() {
 
     let json = format!(
         r#"{{
-  "schema": 10,
+  "schema": 11,
   "scenario": {{
     "nodes": {nodes},
     "rounds": {rounds},
@@ -363,7 +363,7 @@ fn main() {
       "rounds": {pool_rounds},
       "driver": "threaded-lockstep",
       "scheduler": "pool-auto",
-      "crypto_ops_identical_to_thread_per_node": true
+      "crypto_ops_identical_to_simnet": true
     }},
     "wall_clock_ms": {pool_ms:.2},
     "crypto_ops": {{

@@ -20,8 +20,7 @@
 use pag_core::config::CryptoProfile;
 use pag_membership::NodeId;
 use pag_runtime::{
-    ChurnSchedule, Driver, FaultEvent, FaultSchedule, Scheduler, SessionConfig, TcpConfig,
-    ThreadedConfig,
+    ChurnSchedule, Driver, FaultEvent, FaultSchedule, SessionConfig, TcpConfig, ThreadedConfig,
 };
 
 /// Returns true when `--quick` was passed on the command line.
@@ -79,18 +78,15 @@ pub fn tcp_session(nodes: usize, rounds: u64) -> SessionConfig {
 
 /// The frozen worker-pool scenario behind the `pool_session_1000`
 /// entry of `BENCH_protocol.json`: the real-crypto profile of
-/// [`real_crypto_session`] executed on the threaded driver's pooled
-/// scheduler (`Scheduler::Pool(0)` = one worker per CPU, lockstep).
+/// [`real_crypto_session`] executed on the threaded driver's default
+/// worker pool (`Scheduler::Pool(0)` = one worker per CPU, lockstep).
 /// Run at the static scenario's size it must produce bit-identical
-/// crypto ops to every other driver — `bench_snapshot` asserts it —
-/// and at 1000 nodes it is the session shape the thread-per-node
-/// scheduler cannot host at all (DESIGN.md §11).
+/// crypto ops to the simulator — `bench_snapshot` asserts it — and at
+/// 1000 nodes it is the gossip-scale session the pool exists for
+/// (DESIGN.md §11).
 pub fn pooled_session(nodes: usize, rounds: u64) -> SessionConfig {
     let mut sc = real_crypto_session(nodes, rounds);
-    sc.driver = Driver::Threaded(ThreadedConfig {
-        scheduler: Scheduler::auto_pool(),
-        ..ThreadedConfig::default()
-    });
+    sc.driver = Driver::Threaded(ThreadedConfig::default());
     sc
 }
 

@@ -6,7 +6,7 @@
 //! [`SessionWatch`] as the live status stream — then runs
 //! `try_run_session` on a dedicated supervisor thread. Node-level
 //! concurrency inside each session still belongs to that session's
-//! scheduler (thread-per-node or the PR 5 worker pool); the host adds
+//! worker pool; the host adds
 //! the *session*-level multiplexing: many sessions, one process, one
 //! store tree, one registry to poll.
 //!

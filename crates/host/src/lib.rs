@@ -14,8 +14,8 @@
 //!   loop.
 //! * **Multiplexing** is the [`Host`]: a [`SessionRegistry`]-style API
 //!   (spawn / list / watch / join / retire) over supervisor threads,
-//!   each session still free to pick its own scheduler — dedicated
-//!   threads or the shared worker pool. A [`pag_runtime::SessionWatch`]
+//!   each session running its nodes on its own worker pool. A
+//!   [`pag_runtime::SessionWatch`]
 //!   per session exports live per-node status a client can poll while
 //!   the session runs.
 //! * **Persistence** is the [`SnapshotStore`]: crash-entering nodes

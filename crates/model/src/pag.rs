@@ -7,7 +7,7 @@
 //! a deterministic barrier action enabled only at quiescence — the
 //! driver advancing its phase program (`Round(r)` broadcast →
 //! `TimersUpTo(350/650/900)` → next round), exactly the envelope
-//! protocol `pag_runtime::worker::drive_rounds` runs. Effects fold
+//! protocol `pag_runtime::pool::drive_rounds` runs. Effects fold
 //! straight back into the frontier: an engine's `Send`s enqueue onto
 //! the target inboxes, its `SetTimer`s arm the per-node deadline maps.
 //!
@@ -15,7 +15,9 @@
 //! credited on every enqueue and debited after every delivery, and the
 //! driver's barrier (the `Advance` guard) is `pending == 0` — the same
 //! condvar condition `pag_runtime::worker::Coordination` blocks on.
-//! Crash retirement releases the credits of the mail it discards. The
+//! Crash retirement releases the credits of the mail it discards — the
+//! abstraction of the runtime's crashed core, which keeps its pool slot
+//! and credits and drops every envelope it is sent. The
 //! `#[cfg(test)]`-gated [`PagMachine::with_early_credit_bug`] fault
 //! flag reintroduces the PR 5 race: the retirement path *also* credits
 //! the `Round` broadcast envelope it assumes is still in flight, so in
@@ -23,7 +25,8 @@
 //! retiring the credit is released twice, the barrier opens early, and
 //! the ledger goes negative once the stale mail drains — which the
 //! `pending >= 0` invariant catches with a shortest-trace
-//! counterexample.
+//! counterexample. The race exists in the model only: the runtime no
+//! longer has the pool-slot retirement it came from.
 //!
 //! Crash-restarts follow the runtime's announced-shutdown discipline
 //! (`pag_runtime::faults`): `Leave` fed to the subject during

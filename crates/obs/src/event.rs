@@ -84,9 +84,9 @@ pub enum EventKind {
         /// Wall-clock span of the phase, microseconds.
         wall_us: u64,
     },
-    /// Time a node core spent parked waiting for work — the run-queue
-    /// wait on the pool scheduler, the envelope-channel wait on
-    /// thread-per-node. This is the lockstep barrier-stall signal.
+    /// Time a node core spent parked waiting for work — its slot's
+    /// run-queue wait on the worker pool. This is the lockstep
+    /// barrier-stall signal.
     BarrierStall {
         /// Round during which the stall was observed.
         round: u64,

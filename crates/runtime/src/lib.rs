@@ -8,9 +8,9 @@
 //!   deterministic discrete-event simulator (`pag-simnet`), with
 //!   latency, loss and crash faults;
 //! * [`threaded::run_threaded`] — a real-time multi-threaded in-process
-//!   runtime: one thread per node, channel links carrying byte frames
-//!   produced by the `pag_core::wire` codec, and either lockstep
-//!   (deterministic) or wall-clock timers;
+//!   runtime: channel links carrying byte frames produced by the
+//!   `pag_core::wire` codec, and either lockstep (deterministic) or
+//!   wall-clock timers;
 //! * [`tcp::run_tcp`] — the same per-node runtime over **real TCP
 //!   sockets on loopback**: length-prefixed codec frames, per-stream
 //!   reader threads, and a frame path that rejects (never panics on)
@@ -19,11 +19,12 @@
 //!   real-time drivers share, parameterized over a [`worker::Link`];
 //!   new transports implement that one trait and inherit timers,
 //!   lockstep barriers, churn, crashes and traffic accounting;
-//! * [`pool`] — the worker-pool [`Scheduler`]: a fixed thread pool
-//!   multiplexing thousands of node cores (run queue, shared timer
-//!   wheel), selected per driver via `ThreadedConfig::scheduler` /
-//!   `TcpConfig::scheduler`, with lockstep outcomes identical to
-//!   thread-per-node by test (DESIGN.md §11);
+//! * [`pool`] — the worker pool both real-time drivers run their nodes
+//!   on: a fixed thread pool multiplexing thousands of node cores (run
+//!   queue, shared timer wheel, the lockstep clock), sized per driver
+//!   via `ThreadedConfig::scheduler` / `TcpConfig::scheduler` (a
+//!   [`Scheduler`]), with lockstep outcomes identical to the simulator
+//!   at every pool size by test (DESIGN.md §11);
 //! * [`Session`] / [`run_session`] — the one-call harness that builds a
 //!   session, runs it on a selected [`Driver`] and collects verdicts,
 //!   metrics and a driver-neutral [`TrafficReport`];

@@ -1,11 +1,7 @@
-//! The worker-pool scheduler: many [`NodeCore`]s multiplexed over a
-//! fixed number of OS threads, for 1k–10k-node sessions.
-//!
-//! `Scheduler::ThreadPerNode` spends one OS thread (plus stack, plus a
-//! kernel scheduling slot) per node — fine at 50 nodes, hopeless at
-//! 5000, and PAG's accountability argument is statistical, so the
-//! reproduction *needs* gossip-scale sessions. This module replaces the
-//! thread with a slot:
+//! The worker-pool scheduler: how every real-time driver runs its
+//! nodes — many [`NodeCore`]s multiplexed over a fixed number of OS
+//! threads, so 1k–10k-node sessions cost a handful of threads rather
+//! than one per node.
 //!
 //! * every node is a [`NodeCore`] parked in a **slot** holding its
 //!   envelope inbox;
@@ -16,33 +12,31 @@
 //!   idempotent and guarantees a core is stepped by one thread at a
 //!   time;
 //! * `threads` **pool workers** pop slots and drain their inboxes
-//!   through the *same* envelope semantics as the dedicated-thread
-//!   loop ([`NodeCore::lockstep_envelope`] /
-//!   [`NodeCore::realtime_envelope`] — one copy of the code, shared);
-//! * in **lockstep** mode the coordinator drives the identical barrier
-//!   protocol over the identical quiescence ledger
-//!   (`worker::drive_rounds` + [`Coordination`]), so pooled runs settle
-//!   the same phases in the same order and produce bit-identical
-//!   verdicts, deliveries, crypto ops and traffic — whatever the pool
-//!   size (the scale suite pins `Pool(1) == Pool(n) == ThreadPerNode ==
-//!   Simnet`);
+//!   through [`NodeCore::lockstep_envelope`] /
+//!   [`NodeCore::realtime_envelope`];
+//! * in **lockstep** mode [`drive_rounds`] runs the barrier protocol
+//!   over the quiescence ledger ([`Coordination`]), so pooled runs
+//!   settle the same phases in the same order and produce verdicts,
+//!   deliveries, crypto ops and traffic bit-identical to the simulator
+//!   whatever the pool size (the scale suite pins `Pool(1) == Pool(4)
+//!   == Pool(ncpu) == Simnet`);
 //! * in **wall-clock** mode a shared **timer wheel** (one binary heap +
-//!   one timekeeper thread) replaces the per-thread `recv_timeout`:
-//!   after each step a core publishes its earliest deadline, and the
-//!   timekeeper enqueues a [`Envelope::Wake`] when it passes.
+//!   one timekeeper thread) wakes cores: after each step a core
+//!   publishes its earliest deadline, and the timekeeper enqueues a
+//!   [`Envelope::Wake`] when it passes.
 //!
-//! Crashed nodes are **retired**: their slot refuses new envelopes
-//! (senders observe a closed link and balance the ledger, exactly like
-//! a dead TCP peer) and the clock stops charging them barrier credits —
-//! so a fail-stop crash can never wedge quiescence. Everything else —
-//! transports, codec accounting, churn feeds, `NetEmulation` — is
-//! untouched: the pool sits entirely behind the PR 4 `Link` boundary.
-//! Architecture notes: DESIGN.md §11.
+//! A crashed node keeps its slot. A fail-stop crash is an open-ended
+//! down window, handled like a crash-restart's: the core consumes its
+//! clock envelopes and any frames still addressed to it as no-ops, so
+//! every envelope the ledger charged is credited by the core it was
+//! charged to, whatever transport carried it. A slot refuses mail only
+//! once the pool has stopped. Everything else — transports, codec
+//! accounting, churn feeds, `NetEmulation` — sits behind the `Link`
+//! boundary. Architecture notes: DESIGN.md §11.
 
 use std::cmp::Reverse;
 use std::collections::{BTreeMap, BinaryHeap, VecDeque};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::Sender;
 use std::sync::{Arc, Condvar, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
@@ -50,38 +44,29 @@ use std::time::{Duration, Instant};
 use pag_membership::NodeId;
 
 use crate::report::TrafficReport;
-use crate::worker::{
-    drive_rounds, panic_message, ClockSink, Coordination, DriverRun, Envelope, Link,
-    NodeCore,
-};
+use crate::worker::{Coordination, DriverRun, Envelope, Link, NodeCore, VIRTUAL_ROUND_MS};
 
 /// How a real-time driver maps nodes onto OS threads.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
-#[derive(Default)]
 pub enum Scheduler {
-    /// One dedicated OS thread per node (the PR 2/PR 4 model). Simple
-    /// and latency-optimal for small sessions; falls over around a
-    /// thousand nodes.
-    #[default]
-    ThreadPerNode,
     /// A fixed-size worker pool multiplexing every node. The value is
-    /// the thread count; `0` means "one per available CPU"
-    /// ([`Scheduler::auto_pool`]). Lockstep outcomes are independent of
-    /// the pool size.
+    /// the thread count; `0` (the default) means one per available CPU.
+    /// Lockstep outcomes are independent of the pool size.
     Pool(usize),
 }
 
-
-impl Scheduler {
-    /// The pool sized to the machine: one worker per available CPU.
-    pub fn auto_pool() -> Self {
+impl Default for Scheduler {
+    fn default() -> Self {
         Scheduler::Pool(0)
     }
+}
 
-    /// Resolves a configured pool size to an actual thread count for a
-    /// session of `nodes` nodes (0 = available parallelism; never more
-    /// threads than nodes, never fewer than one).
-    pub(crate) fn resolve_threads(size: usize, nodes: usize) -> usize {
+impl Scheduler {
+    /// Resolves the configured pool size to an actual thread count for
+    /// a session of `nodes` nodes (0 = available parallelism; never
+    /// more threads than nodes, never fewer than one).
+    fn threads(self, nodes: usize) -> usize {
+        let Scheduler::Pool(size) = self;
         let size = if size == 0 {
             thread::available_parallelism().map_or(4, |n| n.get())
         } else {
@@ -106,9 +91,6 @@ enum SlotStatus {
 struct SlotInbox {
     queue: VecDeque<Envelope>,
     status: SlotStatus,
-    /// A retired slot refuses envelopes forever (crashed node): senders
-    /// see a closed link, the clock skips it.
-    retired: bool,
     /// Wall-clock mode: the wake deadline currently published to the
     /// timer wheel (stale heap entries are skipped by comparing here).
     wake: Option<u64>,
@@ -133,7 +115,8 @@ pub(crate) struct PoolQueues {
     run_queue: Mutex<VecDeque<usize>>,
     ready: Condvar,
     stop: AtomicBool,
-    coord: Option<Arc<Coordination>>,
+    /// The lockstep quiescence ledger; `None` in wall-clock mode.
+    pub(crate) coord: Option<Arc<Coordination>>,
     /// Wall-clock mode: min-heap of (due scaled-ms, slot index).
     wheel: Mutex<BinaryHeap<Reverse<(u64, usize)>>>,
     wheel_cv: Condvar,
@@ -150,7 +133,6 @@ impl PoolQueues {
                     inbox: Mutex::new(SlotInbox {
                         queue: VecDeque::new(),
                         status: SlotStatus::Idle,
-                        retired: false,
                         wake: None,
                         queued_at: None,
                     }),
@@ -167,21 +149,16 @@ impl PoolQueues {
     }
 
     /// Pushes one envelope into a slot's inbox and schedules the slot if
-    /// it was idle. `false` means the envelope will never be processed —
-    /// the slot is retired, or the pool has stopped (the channel
-    /// scheduler's analogue is a dropped `Receiver`; refusing here is
-    /// what makes a lingering TCP reader thread's `read_loop` return
-    /// instead of feeding a dead slot forever). Callers with a ledger
-    /// registration must balance it, exactly like a failed
-    /// channel/socket send.
+    /// it was idle. `false` means the envelope will never be processed
+    /// because the pool has stopped — refusing is what makes a
+    /// lingering TCP reader thread's `read_loop` return instead of
+    /// feeding a dead slot forever. Callers with a ledger registration
+    /// must balance it, exactly like a failed socket send.
     pub(crate) fn enqueue(&self, idx: usize, envelope: Envelope) -> bool {
         if self.stop.load(Ordering::SeqCst) {
             return false;
         }
         let mut inbox = self.slots[idx].inbox.lock().expect("slot inbox");
-        if inbox.retired {
-            return false;
-        }
         inbox.queue.push_back(envelope);
         let newly_ready = inbox.status == SlotStatus::Idle;
         if newly_ready {
@@ -201,12 +178,21 @@ impl PoolQueues {
         true
     }
 
-    /// Marks a slot retired (crashed node): no further envelopes are
-    /// accepted or charged. Called by the pool worker currently draining
-    /// the slot, which finishes the drain itself — so anything enqueued
-    /// before retirement is still processed (and ledger-balanced).
-    fn retire(&self, idx: usize) {
-        self.slots[idx].inbox.lock().expect("slot inbox").retired = true;
+    /// Sends `make()` to every slot. In lockstep the ledger is charged
+    /// for all of them before the first enqueue, so it cannot read zero
+    /// while a phase is in flight; an enqueue the stopped pool refuses
+    /// (after a worker panic) is credited back.
+    fn broadcast(&self, make: impl Fn() -> Envelope) {
+        if let Some(coord) = &self.coord {
+            coord.add(self.slots.len() as u64);
+        }
+        for idx in 0..self.slots.len() {
+            if !self.enqueue(idx, make()) {
+                if let Some(coord) = &self.coord {
+                    coord.done();
+                }
+            }
+        }
     }
 
     /// Publishes a wall-clock wake deadline for a slot onto the shared
@@ -215,7 +201,7 @@ impl PoolQueues {
         let Some(due) = wake else { return };
         {
             let mut inbox = self.slots[idx].inbox.lock().expect("slot inbox");
-            if inbox.retired || inbox.wake.is_some_and(|w| w <= due) {
+            if inbox.wake.is_some_and(|w| w <= due) {
                 return;
             }
             inbox.wake = Some(due);
@@ -239,10 +225,8 @@ impl PoolQueues {
     }
 }
 
-/// The channel transport's pooled [`Link`]: frames go straight into the
-/// peer slot's inbox (no intermediate mpsc hop). Retired peers read as
-/// closed links, which is how a crashed node's mail stops wedging
-/// lockstep quiescence.
+/// The channel transport's [`Link`]: frames go straight into the peer
+/// slot's inbox.
 pub(crate) struct PoolLink {
     queues: Arc<PoolQueues>,
     index: Arc<BTreeMap<NodeId, usize>>,
@@ -263,69 +247,60 @@ impl Link for PoolLink {
     }
 }
 
-/// Where a transport reader thread forwards inbound envelopes: a
-/// per-node mpsc channel (thread-per-node) or a pool slot. This is what
-/// lets the TCP transport's per-stream readers feed either scheduler
-/// without knowing which is running.
-#[derive(Clone)]
-pub(crate) enum InboxHandle {
-    /// Thread-per-node: the worker's envelope channel.
-    Channel(Sender<Envelope>),
-    /// Pool: the shared queues plus this node's slot index.
-    Pool(Arc<PoolQueues>, usize),
-}
-
-impl InboxHandle {
-    /// Delivers one envelope; `false` when the node can no longer
-    /// process it (stopped worker / retired slot).
-    pub(crate) fn send(&self, envelope: Envelope) -> bool {
-        match self {
-            InboxHandle::Channel(tx) => tx.send(envelope).is_ok(),
-            InboxHandle::Pool(queues, idx) => queues.enqueue(*idx, envelope),
-        }
-    }
-}
-
-/// The clock's view of the pool: one snapshot of the unretired slots
-/// is both what the lockstep ledger is charged for and what the
-/// fan-out targets — a slot that retires *between* the two (a crashing
-/// node's `done()` releases the barrier before its pool thread flips
-/// the retired flag) was charged, so its refused enqueue is balanced
-/// with a `done()`; a slot retired at snapshot time is neither charged
-/// nor targeted. Any other pairing would desynchronize the ledger and
-/// either wedge `wait_quiet` or release a phase early. `Stop` is
-/// swallowed — pool shutdown is the scheduler's job ([`run_pool`]
-/// stops the threads once the clock returns), not a per-node envelope.
-struct PoolClock<'a> {
-    queues: &'a PoolQueues,
-}
-
-impl ClockSink for PoolClock<'_> {
-    fn broadcast(&self, coord: Option<&Arc<Coordination>>, make: &dyn Fn() -> Envelope) {
-        if matches!(make(), Envelope::Stop) {
-            return;
-        }
-        let live: Vec<usize> = (0..self.queues.slots.len())
-            .filter(|&idx| {
-                !self.queues.slots[idx]
-                    .inbox
-                    .lock()
-                    .expect("slot inbox")
-                    .retired
-            })
-            .collect();
-        if let Some(coord) = coord {
-            coord.add(live.len() as u64);
-        }
-        for idx in live {
-            if !self.queues.enqueue(idx, make()) {
-                // Retired after the snapshot: charged above, so balance.
-                if let Some(coord) = coord {
-                    coord.done();
+/// Drives the session clock over the running pool: lockstep barrier
+/// phases when the pool has a ledger, wall-clock round ticks otherwise.
+/// The barrier protocol is what makes lockstep runs deterministic, so
+/// every transport runs this one copy of it.
+fn drive_rounds(queues: &PoolQueues, epoch: Instant, rounds: u64, round_ms: u64) {
+    match &queues.coord {
+        Some(coord) => {
+            // Deterministic lockstep: barrier per round start, then one
+            // barrier per distinct timer deadline within the round.
+            for round in 0..rounds {
+                queues.broadcast(|| Envelope::Round(round));
+                coord.wait_quiet();
+                // Every node started the round; now release the stashed
+                // round-start frames and let the cascades settle.
+                queues.broadcast(|| Envelope::Flush);
+                coord.wait_quiet();
+                // Timer phases — ack checks, monitor evaluation, exhibit
+                // resolution: every deadline strictly before the next
+                // round opens.
+                let round_end = (round + 1) * VIRTUAL_ROUND_MS;
+                while let Some(deadline) = coord.min_deadline() {
+                    if deadline >= round_end || coord.is_aborted() {
+                        break;
+                    }
+                    queues.broadcast(|| Envelope::TimersUpTo(deadline));
+                    coord.wait_quiet();
+                    queues.broadcast(|| Envelope::Flush);
+                    coord.wait_quiet();
+                }
+                if coord.is_aborted() {
+                    break;
                 }
             }
         }
+        None => {
+            // Real time: rounds tick on the wall clock; one trailing
+            // round lets late timers (offsets < 1 round) fire.
+            for round in 0..rounds {
+                queues.broadcast(|| Envelope::Round(round));
+                let next = epoch + Duration::from_millis((round + 1) * round_ms);
+                thread::sleep(next.saturating_duration_since(Instant::now()));
+            }
+            thread::sleep(Duration::from_millis(round_ms));
+        }
     }
+}
+
+/// Best-effort text of a `JoinHandle` panic payload.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    payload
+        .downcast_ref::<&'static str>()
+        .map(|s| (*s).to_string())
+        .or_else(|| payload.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 /// One pool worker: pop a ready slot, drain its inbox through the
@@ -419,14 +394,6 @@ fn pool_worker<L: Link>(
                 core.realtime_envelope(envelope);
                 queues.publish_wake(idx, core.next_wake());
             }
-            if core.crashed && core.down_forever() {
-                // Fail-stop: off the run queue for good. The drain
-                // continues so already-charged envelopes are consumed.
-                // A node in a *transient* down window (fault-plan
-                // crash-restart) keeps its slot: it must still receive
-                // the clock's round envelopes to notice its restart.
-                queues.retire(idx);
-            }
         }
         guard.current = None;
     }
@@ -478,12 +445,11 @@ fn timekeeper(queues: Arc<PoolQueues>, epoch: Instant) {
     }
 }
 
-/// Runs `cores` to completion on a pool of `threads` workers: spawns
+/// Runs `cores` to completion on a pool sized by `scheduler`: spawns
 /// the pool (plus the timekeeper in wall-clock mode), drives the shared
-/// clock ([`drive_rounds`] — the same barrier protocol as
-/// thread-per-node), runs `before_join` once the clock returns (the TCP
-/// driver retires its accept threads there), then stops the pool and
-/// harvests every core into a [`DriverRun`].
+/// clock ([`drive_rounds`]), runs `before_join` once the clock returns
+/// (the TCP driver shuts its accept threads down there), then stops the
+/// pool and harvests every core into a [`DriverRun`].
 ///
 /// Worker-spawn refusals degrade gracefully: the pool runs on however
 /// many threads the OS granted, as long as that is at least one.
@@ -493,15 +459,15 @@ fn timekeeper(queues: Arc<PoolQueues>, epoch: Instant) {
 pub(crate) fn run_pool<L: Link + 'static>(
     cores: Vec<NodeCore<L>>,
     queues: Arc<PoolQueues>,
-    threads: usize,
+    scheduler: Scheduler,
     epoch: Instant,
     rounds: u64,
     round_ms: u64,
     before_join: impl FnOnce(),
 ) -> Result<DriverRun, std::io::Error> {
     assert_eq!(cores.len(), queues.slots.len(), "one slot per core");
+    let threads = scheduler.threads(cores.len());
     let lockstep = queues.coord.is_some();
-    let coord = queues.coord.clone();
     let cores: Arc<Vec<Mutex<Option<NodeCore<L>>>>> = Arc::new(
         cores
             .into_iter()
@@ -556,13 +522,7 @@ pub(crate) fn run_pool<L: Link + 'static>(
         }
     }
 
-    drive_rounds(
-        &PoolClock { queues: &queues },
-        coord.as_ref(),
-        epoch,
-        rounds,
-        round_ms,
-    );
+    drive_rounds(&queues, epoch, rounds, round_ms);
     before_join();
     queues.stop_now();
 
@@ -608,27 +568,25 @@ mod tests {
 
     #[test]
     fn scheduler_resolves_pool_sizes() {
-        assert_eq!(Scheduler::resolve_threads(4, 100), 4);
-        assert_eq!(Scheduler::resolve_threads(16, 3), 3, "never more threads than nodes");
-        assert_eq!(Scheduler::resolve_threads(5, 0), 1, "degenerate session still gets a thread");
-        assert!(Scheduler::resolve_threads(0, 1000) >= 1, "auto resolves to the machine");
-        assert_eq!(Scheduler::default(), Scheduler::ThreadPerNode);
-        assert_eq!(Scheduler::auto_pool(), Scheduler::Pool(0));
+        assert_eq!(Scheduler::Pool(4).threads(100), 4);
+        assert_eq!(Scheduler::Pool(16).threads(3), 3, "never more threads than nodes");
+        assert_eq!(Scheduler::Pool(5).threads(0), 1, "degenerate session still gets a thread");
+        assert!(Scheduler::Pool(0).threads(1000) >= 1, "auto resolves to the machine");
+        assert_eq!(Scheduler::default(), Scheduler::Pool(0));
     }
 
     #[test]
-    fn enqueue_schedules_once_and_retirement_refuses() {
+    fn enqueue_schedules_once_and_only_stop_refuses() {
         let queues = PoolQueues::new(2, None, false);
         assert!(queues.enqueue(0, Envelope::Round(0)));
         assert!(queues.enqueue(0, Envelope::Flush));
         // One slot, two envelopes, one run-queue entry.
         assert_eq!(queues.run_queue.lock().expect("run queue lock").len(), 1);
-        queues.retire(0);
-        assert!(!queues.enqueue(0, Envelope::Round(1)), "retired slots refuse mail");
-        assert!(queues.enqueue(1, Envelope::Round(1)), "other slots unaffected");
+        assert!(queues.enqueue(1, Envelope::Round(1)), "every live slot takes mail");
         // After shutdown every slot refuses — that refusal is what sends
         // a lingering transport reader thread home.
         queues.stop.store(true, Ordering::SeqCst);
+        assert!(!queues.enqueue(0, Envelope::Round(2)), "stopped pools refuse mail");
         assert!(!queues.enqueue(1, Envelope::Round(2)), "stopped pools refuse mail");
     }
 }

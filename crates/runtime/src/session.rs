@@ -56,12 +56,12 @@ pub enum Driver {
     /// per-class accounting).
     Simnet(SimConfig),
     /// The multi-threaded in-process runtime (channel links shipping
-    /// encoded frames, lockstep or wall-clock timers, per-node threads
-    /// or the worker pool via `ThreadedConfig::scheduler`).
+    /// encoded frames, lockstep or wall-clock timers, nodes on the
+    /// worker pool sized by `ThreadedConfig::scheduler`).
     Threaded(ThreadedConfig),
     /// The TCP transport: real loopback sockets carrying
     /// length-prefixed codec frames, same lockstep or wall-clock timer
-    /// machinery and scheduler choice (see `crate::tcp`).
+    /// machinery and worker pool (see `crate::tcp`).
     Tcp(TcpConfig),
 }
 

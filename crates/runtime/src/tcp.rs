@@ -1,21 +1,22 @@
 //! The TCP driver: the sans-IO engine on real loopback sockets.
 //!
-//! Same per-node core as the threaded driver (`crate::worker`), but
-//! the [`Link`] writes **length-prefixed codec frames to TCP streams**
+//! Same per-node core and worker pool as the threaded driver
+//! (`crate::worker`, `crate::pool`), but the [`Link`] writes
+//! **length-prefixed codec frames to TCP streams**
 //! (`pag_core::wire::encode_stream_frame`) and per-stream reader
 //! threads reassemble them with `pag_core::wire::StreamFramer` before
-//! funnelling them back into the node's envelope queue. Every byte a
+//! funnelling them into the owning node's pool inbox. Every byte a
 //! node is charged for crosses the kernel's loopback path; nothing
 //! about the protocol, timers, churn or crash semantics changes —
 //! which is the point, and what the driver-equivalence suite pins down
 //! (verdicts, deliveries and traffic totals identical to the simulator
 //! and the channel driver, lockstep mode).
 //!
-//! Like the channel driver, the node side runs under either
-//! [`Scheduler`]: dedicated worker threads, or the worker pool
-//! (`crate::pool`) with readers forwarding into pool inboxes. Reader
-//! and accept threads remain per-stream in both cases — the pool
-//! removes the *node* threads, which is what dominates at scale.
+//! Reader and accept threads are per-stream; the pool removes only the
+//! *node* threads, which is what dominates at scale. A reader keeps
+//! forwarding to a crashed node's slot (the crashed core credits and
+//! drops the frames), so every frame a sender charged to the lockstep
+//! ledger before its socket write is read and credited.
 //!
 //! # Topology and lifecycle
 //!
@@ -74,13 +75,13 @@
 //! barrier accounting. Lockstep kills still work — both endpoints sever
 //! at their own round entry, a quiescent point, so no registered frame
 //! is ever in flight across the dying socket, and later sends to the
-//! dead slot are refused and balanced by the worker's done-on-refused
+//! dead slot are refused and balanced by the core's done-on-refused
 //! path. That is how a lockstep session tolerates a down link without
 //! wedging.
 //!
 //! Lockstep mode works unchanged over sockets because the quiescence
 //! ledger brackets the socket transit: a sender registers its frame
-//! with the coordinator *before* the `write`, and the receiving worker
+//! with the coordinator *before* the `write`, and the receiving core
 //! marks it done only after processing, so barrier phases wait for
 //! bytes still sitting in kernel buffers.
 
@@ -88,7 +89,7 @@ use std::collections::BTreeMap;
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc::{channel, Sender};
+use std::sync::mpsc::Sender;
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -106,10 +107,9 @@ use pag_membership::NodeId;
 use crate::churn::ChurnEvent;
 use crate::faults::FaultPlan;
 use crate::hooks::HostHooks;
-use crate::pool::{run_pool, InboxHandle, PoolQueues, Scheduler};
+use crate::pool::{run_pool, PoolQueues, Scheduler};
 use crate::worker::{
-    down_windows, drive_rounds, join_workers, merged_feeds, Coordination, DriverRun,
-    Envelope, Link, NetEmulation, NodeCore, Worker,
+    down_windows, merged_feeds, Coordination, DriverRun, Envelope, Link, NetEmulation, NodeCore,
 };
 
 /// Outcome of a TCP run (same shape as every real-time driver).
@@ -145,7 +145,7 @@ pub enum TcpSetupError {
     /// Configuring an established mesh stream (nodelay, or cloning the
     /// write half) failed.
     Configure(std::io::Error),
-    /// Spawning a node worker thread failed.
+    /// Spawning the worker pool the nodes run on failed.
     SpawnNode(std::io::Error),
     /// A mesh handshake failed verification: the channel-binding proof
     /// on a just-paired stream was refused. With both endpoints in this
@@ -166,7 +166,7 @@ impl std::fmt::Display for TcpSetupError {
             TcpSetupError::Connect(e) => write!(f, "could not connect mesh stream: {e}"),
             TcpSetupError::Accept(e) => write!(f, "could not accept mesh stream: {e}"),
             TcpSetupError::Configure(e) => write!(f, "could not configure mesh stream: {e}"),
-            TcpSetupError::SpawnNode(e) => write!(f, "could not spawn node thread: {e}"),
+            TcpSetupError::SpawnNode(e) => write!(f, "could not spawn the worker pool: {e}"),
             TcpSetupError::Handshake(e) => write!(f, "mesh handshake refused: {e}"),
             TcpSetupError::HandshakeIo(e) => write!(f, "mesh handshake failed: {e}"),
         }
@@ -201,7 +201,7 @@ pub struct TcpConfig {
     /// Session seed for the engines' deterministic randomness (and the
     /// reconnect supervisors' jitter).
     pub seed: u64,
-    /// Optional latency/loss injection, applied in the worker exactly
+    /// Optional latency/loss injection, applied in the node core exactly
     /// like the channel driver's (loss before the socket write, latency
     /// as a receive-side delay queue).
     pub net: Option<NetEmulation>,
@@ -215,7 +215,7 @@ pub struct TcpConfig {
     /// [`pag_core::engine::MetricEvent::ConnectionDropped`]. Mesh
     /// streams are exempt (peer engines only produce clean frames).
     pub reject_limit: u32,
-    /// Node-to-thread mapping: dedicated threads or a worker pool.
+    /// Size of the worker pool the nodes run on.
     pub scheduler: Scheduler,
     /// Scheduled transport-level link kills: `(a, b, round)` severs the
     /// socket between `a` and `b` when each endpoint enters `round` (a
@@ -242,7 +242,7 @@ impl Default for TcpConfig {
             net: None,
             max_frame_bytes: MAX_STREAM_FRAME_BYTES,
             reject_limit: DEFAULT_REJECT_LIMIT,
-            scheduler: Scheduler::ThreadPerNode,
+            scheduler: Scheduler::default(),
             link_kills: Vec::new(),
             addr_probe: None,
             hooks: HostHooks::default(),
@@ -777,17 +777,17 @@ impl RejectScreen {
 }
 
 /// Reads length-prefixed frames off one stream and forwards them to the
-/// owning node's inbox. Truncated input simply waits (and EOF discards
-/// it); a framing violation forwards one [`Envelope::Malformed`] so the
-/// rejection is counted, then drops the connection — reframing after a
-/// bogus length prefix is impossible.
+/// owning node's pool slot `idx`. Truncated input simply waits (and EOF
+/// discards it); a framing violation forwards one [`Envelope::Malformed`]
+/// so the rejection is counted, then drops the connection — reframing
+/// after a bogus length prefix is impossible.
 ///
 /// `registered` distinguishes the lockstep ledger's two cases. Mesh
-/// streams (`true`) carry frames a peer worker registered with the
+/// streams (`true`) carry frames a peer core registered with the
 /// coordinator *before* its socket write, so forwarding must not add
 /// again. Late, untrusted connections (`false`) were registered by
 /// nobody — the reader adds each envelope itself right before
-/// forwarding, so the worker's unconditional `done()` stays balanced
+/// forwarding, so the pool's unconditional `done()` stays balanced
 /// and hostile bytes can never consume a legitimate frame's credit and
 /// release a quiescence barrier early.
 ///
@@ -806,8 +806,8 @@ impl RejectScreen {
 /// exactly as before.
 fn read_loop(
     mut stream: TcpStream,
-    inbox: InboxHandle,
-    coord: Option<Arc<Coordination>>,
+    queues: Arc<PoolQueues>,
+    idx: usize,
     max_frame: usize,
     registered: bool,
     mut screen: Option<RejectScreen>,
@@ -815,18 +815,19 @@ fn read_loop(
 ) {
     let mut framer = StreamFramer::new(max_frame);
     let mut chunk = [0u8; 16 * 1024];
+    let coord = queues.coord.as_ref();
     let forward = |envelope: Envelope| -> bool {
         if !registered {
-            if let Some(coord) = &coord {
+            if let Some(coord) = coord {
                 coord.add(1);
             }
         }
-        if inbox.send(envelope) {
+        if queues.enqueue(idx, envelope) {
             return true;
         }
-        // The worker is gone; balance the ledger for the envelope it
+        // The pool has stopped; balance the ledger for the envelope it
         // will never process (a peer's registration or the add above).
-        if let Some(coord) = &coord {
+        if let Some(coord) = coord {
             coord.done();
         }
         false
@@ -891,7 +892,7 @@ fn read_loop(
 }
 
 /// Runs `engines` for `rounds` rounds linked by real TCP streams over
-/// loopback, under the configured [`Scheduler`].
+/// loopback, on a worker pool sized by the configured [`Scheduler`].
 ///
 /// Contract identical to [`crate::threaded::run_threaded`]: every
 /// engine's node must belong to `shared`'s key roster, `crashes` are
@@ -912,22 +913,6 @@ pub fn run_tcp(
     let coord = cfg.lockstep.then(|| Arc::new(Coordination::new(n)));
     let round_ms = cfg.round_ms.max(1);
     let net_seed = cfg.seed ^ 0x4E45_5445_4D55;
-
-    // Node inboxes: per-node channels (thread-per-node) or pool slots
-    // (created after the mesh, alongside the epoch they are clocked by).
-    let pool_size = match cfg.scheduler {
-        Scheduler::ThreadPerNode => None,
-        Scheduler::Pool(size) => Some(size),
-    };
-    let mut senders: BTreeMap<NodeId, Sender<Envelope>> = BTreeMap::new();
-    let mut receivers = Vec::new();
-    if pool_size.is_none() {
-        for &id in &ids {
-            let (tx, rx) = channel();
-            senders.insert(id, tx);
-            receivers.push(rx);
-        }
-    }
 
     // One loopback listener per node.
     let mut listeners = Vec::with_capacity(n);
@@ -997,18 +982,7 @@ pub fn run_tcp(
         }
     }
 
-    let queues = pool_size.map(|size| {
-        (
-            size,
-            PoolQueues::new(n, coord.clone(), cfg.hooks.trace.is_some()),
-        )
-    });
-    let inbox_of = |idx: usize| -> InboxHandle {
-        match &queues {
-            Some((_, queues)) => InboxHandle::Pool(Arc::clone(queues), idx),
-            None => InboxHandle::Channel(senders[&ids[idx]].clone()),
-        }
-    };
+    let queues = PoolQueues::new(n, coord.clone(), cfg.hooks.trace.is_some());
 
     // Per-node link health counters, shared between each node's TcpLink
     // and (for spawn failures) this setup path; the node core drains
@@ -1022,12 +996,11 @@ pub fn run_tcp(
     // and count as a sever (the write half keeps working).
     for (idx, streams) in reads.into_iter().enumerate() {
         for stream in streams {
-            let inbox = inbox_of(idx);
-            let coord = coord.clone();
+            let queues = Arc::clone(&queues);
             let max = cfg.max_frame_bytes;
             let spawned = thread::Builder::new()
                 .name(format!("pag-tcp-read-{}", ids[idx]))
-                .spawn(move || read_loop(stream, inbox, coord, max, true, None, None));
+                .spawn(move || read_loop(stream, queues, idx, max, true, None, None));
             if spawned.is_err() {
                 pag_obs::logger::warn(
                     "tcp.reader_spawn",
@@ -1051,9 +1024,8 @@ pub fn run_tcp(
     let stop_accepting = Arc::new(AtomicBool::new(false));
     let mut accept_handles = Vec::with_capacity(n);
     for (idx, listener) in listeners.into_iter().enumerate() {
-        let inbox = inbox_of(idx);
+        let queues = Arc::clone(&queues);
         let owner = ids[idx];
-        let coord = coord.clone();
         let stop = Arc::clone(&stop_accepting);
         let max = cfg.max_frame_bytes;
         let limit = cfg.reject_limit;
@@ -1071,8 +1043,7 @@ pub fn run_tcp(
                     return;
                 }
                 let _ = conn.set_nodelay(true);
-                let inbox = inbox.clone();
-                let coord = coord.clone();
+                let queues = Arc::clone(&queues);
                 let screen = RejectScreen {
                     owner,
                     wire: wire.clone(),
@@ -1090,7 +1061,7 @@ pub fn run_tcp(
                 let reader = thread::Builder::new()
                     .name(format!("pag-tcp-late-{owner}"))
                     .spawn(move || {
-                        read_loop(conn, inbox, coord, max, false, Some(screen), Some(auth))
+                        read_loop(conn, queues, idx, max, false, Some(screen), Some(auth))
                     });
                 if reader.is_err() {
                     pag_obs::logger::warn(
@@ -1128,11 +1099,11 @@ pub fn run_tcp(
     // passes it to the timekeeper alongside the queues).
     let epoch = Instant::now();
 
-    // Retires the accept threads: unblock each listener with a throwaway
-    // connection, then join. Runs before worker joins on both
-    // schedulers, so a panicking node cannot leak n blocked accept
-    // threads and their bound listeners. Setting the stop flag also
-    // retires any in-flight reconnect supervisors.
+    // Ends the accept threads: unblock each listener with a throwaway
+    // connection, then join. Runs before the pool joins its workers, so
+    // a panicking node cannot leak n blocked accept threads and their
+    // bound listeners. Setting the stop flag also ends any in-flight
+    // reconnect supervisors.
     let probe_addrs: Vec<SocketAddr> = addrs.values().copied().collect();
     let stop_flag = Arc::clone(&stop_accepting);
     let stop_accepts = move || {
@@ -1145,7 +1116,7 @@ pub fn run_tcp(
         }
     };
 
-    // One core per node, identical initial state for both schedulers.
+    // One core per node, built like the channel driver's.
     let cores: Vec<NodeCore<TcpLink>> = engines
         .into_iter()
         .enumerate()
@@ -1178,7 +1149,6 @@ pub fn run_tcp(
                 .collect();
             kills.sort_unstable();
             NodeCore::new(
-                idx,
                 id,
                 engine,
                 shared.config.wire.clone(),
@@ -1209,28 +1179,6 @@ pub fn run_tcp(
         })
         .collect();
 
-    match queues {
-        None => {
-            let mut handles = Vec::with_capacity(n);
-            for (core, rx) in cores.into_iter().zip(receivers) {
-                let id = core.id;
-                let worker = Worker { core, rx };
-                let handle = thread::Builder::new()
-                    .name(format!("pag-tcp-{id}"))
-                    .spawn(move || worker.run())
-                    .map_err(TcpSetupError::SpawnNode)?;
-                handles.push((id, handle));
-            }
-
-            drive_rounds(&senders, coord.as_ref(), epoch, rounds, round_ms);
-            drop(senders);
-            stop_accepts();
-            Ok(join_workers(handles, rounds))
-        }
-        Some((size, queues)) => {
-            let threads = Scheduler::resolve_threads(size, n);
-            run_pool(cores, queues, threads, epoch, rounds, round_ms, stop_accepts)
-                .map_err(TcpSetupError::SpawnNode)
-        }
-    }
+    run_pool(cores, queues, cfg.scheduler, epoch, rounds, round_ms, stop_accepts)
+        .map_err(TcpSetupError::SpawnNode)
 }

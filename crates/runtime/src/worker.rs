@@ -1,35 +1,28 @@
 //! The transport-generic per-node state machine behind every real-time
-//! driver, and the thread-per-node loop that historically ran it.
+//! driver.
 //!
-//! PR 2's threaded driver and PR 4's TCP driver run the *same* node
-//! logic: feed the sans-IO engine, account traffic from encoded frames,
-//! apply [`NetEmulation`] faults, announce churn, and participate in
-//! the lockstep barrier protocol. PR 5 split that logic in two:
+//! The threaded and TCP drivers run the *same* node logic: feed the
+//! sans-IO engine, account traffic from encoded frames, apply
+//! [`NetEmulation`] faults, announce churn, and participate in the
+//! lockstep barrier protocol. That logic is [`NodeCore`] (engine,
+//! timers, stash, delayed frames, crash/churn bookkeeping) with one
+//! method per envelope kind. It never blocks and never owns a thread:
+//! the worker pool (`crate::pool`) parks every core in a slot and steps
+//! whichever have ready input.
 //!
-//! * [`NodeCore`] — the per-node state machine itself (engine, timers,
-//!   stash, delayed frames, crash/churn bookkeeping) with one method
-//!   per envelope kind. It is scheduler-neutral: it never blocks, never
-//!   owns a thread, and can be stepped by whoever holds it.
-//! * [`Worker`] — a `NodeCore` plus the receiving end of an envelope
-//!   channel, run on a dedicated OS thread (`Scheduler::ThreadPerNode`).
-//!   The worker-pool scheduler (`crate::pool`) steps the same cores
-//!   from a fixed thread pool instead, so 1k–10k-node sessions stop
-//!   costing one OS thread per node.
+//! Transports plug in through the [`Link`] trait:
 //!
-//! Transports plug in through the [`Link`] trait, exactly as before:
-//!
-//! * the **channel** link (`threaded.rs`) pushes encoded frames onto a
-//!   peer's unbounded in-process channel (or, pooled, straight into the
-//!   peer's pool inbox);
+//! * the **channel** link (`crate::pool::PoolLink`) pushes encoded
+//!   frames straight into the peer's pool inbox;
 //! * the **socket** link (`tcp.rs`) writes length-prefixed frames to a
 //!   real TCP stream on loopback, with reader threads funnelling
-//!   incoming frames back into the worker's envelope queue.
+//!   incoming frames back into the owner's pool inbox.
 //!
 //! Because timers, barriers, crash semantics, churn feeds and traffic
 //! accounting all live here, driver equivalence (identical verdicts,
-//! deliveries and traffic totals across Simnet, Threaded and Tcp, on
-//! either scheduler) is a property of one code path, enforced for all
-//! transports by `tests/driver_equivalence.rs`.
+//! deliveries and traffic totals across Simnet, the channel pool and
+//! Tcp) is a property of one code path, enforced for all transports by
+//! `tests/driver_equivalence.rs`.
 //!
 //! **The frame path never panics on input.** Incoming bytes that fail
 //! [`decode_frame`], violate stream framing (surfaced by the transport
@@ -38,9 +31,7 @@
 //! moment bytes arrive from a socket rather than a peer engine.
 
 use std::collections::BTreeMap;
-use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Condvar, Mutex};
-use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use pag_core::engine::{Effect, Input, PagEngine};
@@ -196,9 +187,9 @@ pub(crate) fn mix_unit(h: u64) -> f64 {
 /// Loss emulation, lockstep bookkeeping and traffic accounting all
 /// happen in the [`NodeCore`] *before* this is called — an
 /// implementation only moves bytes. Returning `false` means the peer's
-/// link is gone (a stopped worker, a closed socket, a retired pool
-/// slot); the core then balances the lockstep ledger for the frame
-/// that will never be processed.
+/// link is gone (a closed socket, a stopped pool); the core then
+/// balances the lockstep ledger for the frame that will never be
+/// processed.
 pub trait Link: Send {
     /// Ships one encoded frame to `to`; `false` when the link is closed.
     fn send_frame(&mut self, to: NodeId, frame: Vec<u8>) -> bool;
@@ -224,12 +215,12 @@ pub trait Link: Send {
     }
 }
 
-/// What node workers receive: protocol frames and clock commands.
+/// What node cores receive: protocol frames and clock commands.
 pub(crate) enum Envelope {
     /// The gossip clock entered this round.
     Round(u64),
     /// An encoded protocol frame, exactly as it crossed the link. The
-    /// worker decodes it (rejecting undecodable bytes) and applies
+    /// core decodes it (rejecting undecodable bytes) and applies
     /// receive-side latency emulation.
     Frame {
         /// Encoded bytes.
@@ -259,13 +250,9 @@ pub(crate) enum Envelope {
     Flush,
     /// Lockstep only: fire every timer due at or before this virtual ms.
     TimersUpTo(u64),
-    /// Wall-clock pool mode only: the shared timer wheel says this
-    /// node's earliest deadline (timer or delayed frame) has passed.
-    /// Thread-per-node workers never receive this — their own
-    /// `recv_timeout` deadline plays the same role.
+    /// Wall-clock mode only: the shared timer wheel says this node's
+    /// earliest deadline (timer or delayed frame) has passed.
     Wake,
-    /// Shut down and report.
-    Stop,
 }
 
 /// Quiescence tracking for lockstep mode: the count of outstanding
@@ -361,7 +348,7 @@ impl Coordination {
         lock_unpoisoned(&self.deadlines)[idx] = deadline;
     }
 
-    fn min_deadline(&self) -> Option<u64> {
+    pub(crate) fn min_deadline(&self) -> Option<u64> {
         lock_unpoisoned(&self.deadlines)
             .iter()
             .flatten()
@@ -430,12 +417,10 @@ pub(crate) fn merged_feeds(
 /// transport and neutral to the scheduler stepping it.
 ///
 /// A `NodeCore` never blocks: each method consumes one stimulus (an
-/// envelope, a timer pass) and returns. `Scheduler::ThreadPerNode`
-/// wraps one in a [`Worker`] on a dedicated thread;
-/// `Scheduler::Pool(_)` keeps thousands of them in slots and steps
-/// whichever have ready input (`crate::pool`).
+/// envelope, a timer pass) and returns. The worker pool keeps thousands
+/// of them in slots and steps whichever have ready input
+/// (`crate::pool`).
 pub(crate) struct NodeCore<L: Link> {
-    pub(crate) idx: usize,
     pub(crate) id: NodeId,
     pub(crate) engine: PagEngine,
     pub(crate) wire: WireConfig,
@@ -493,12 +478,11 @@ pub(crate) struct NodeCore<L: Link> {
 }
 
 impl<L: Link> NodeCore<L> {
-    /// Assembles a core; every driver (both schedulers) builds nodes
-    /// through this one constructor so the initial state cannot drift
-    /// between transports.
+    /// Assembles a core; every driver builds nodes through this one
+    /// constructor so the initial state cannot drift between
+    /// transports.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
-        idx: usize,
         id: NodeId,
         engine: PagEngine,
         wire: WireConfig,
@@ -519,7 +503,6 @@ impl<L: Link> NodeCore<L> {
             .as_ref()
             .map(|session| Box::new(session.node(u64::from(id.value()))));
         NodeCore {
-            idx,
             id,
             engine,
             wire,
@@ -549,15 +532,8 @@ impl<L: Link> NodeCore<L> {
         }
     }
 
-    /// True when this core carries a flight recorder — schedulers use
-    /// this to decide whether to take wait-span timestamps at all.
-    pub(crate) fn traced(&self) -> bool {
-        self.rec.is_some()
-    }
-
-    /// Records a barrier-stall span: time this core sat parked waiting
-    /// for its next envelope (thread-per-node) or in the run queue
-    /// (pool). No-op when untraced.
+    /// Records a barrier-stall span: time this core's slot sat in the
+    /// pool's run queue. No-op when untraced.
     pub(crate) fn note_wait(&mut self, dur: Duration) {
         let round = self.round;
         if let Some(rec) = self.rec.as_deref_mut() {
@@ -713,8 +689,7 @@ impl<L: Link> NodeCore<L> {
         }
         if let Some(coord) = &self.coord {
             coord.add(1);
-            // A receiver that already stopped (or retired) is fine to
-            // lose.
+            // A closed link is fine to lose: credit the frame back.
             if !self.link.send_frame(to, frame) {
                 coord.done();
             }
@@ -810,17 +785,8 @@ impl<L: Link> NodeCore<L> {
     }
 
     /// True while the current round is inside a down window.
-    pub(crate) fn down_now(&self, round: u64) -> bool {
+    fn down_now(&self, round: u64) -> bool {
         self.downs.iter().any(|&(c, r)| round >= c && round < r)
-    }
-
-    /// True once this node is down for good (a legacy fail-stop crash):
-    /// only then may a pool scheduler retire its slot — a node in a
-    /// transient down window still needs its slot to receive the clock.
-    pub(crate) fn down_forever(&self) -> bool {
-        self.downs
-            .iter()
-            .any(|&(c, r)| self.round >= c && r == u64::MAX)
     }
 
     /// Folds the transport's link-health deltas into the engine metrics.
@@ -965,9 +931,11 @@ impl<L: Link> NodeCore<L> {
     }
 
     /// Processes one lockstep envelope — the *entire* semantics of a
-    /// lockstep phase step, shared verbatim by the thread-per-node loop
-    /// and the pool scheduler so their runs cannot diverge. `Stop` and
-    /// `Wake` are scheduler-level commands and no-ops here.
+    /// lockstep phase step. A down node (crash-restart window or
+    /// fail-stop crash alike) drops its frames and skips its timer
+    /// phases but still consumes every envelope, so whatever the ledger
+    /// charged to it is credited like anyone else's. `Wake` is a
+    /// wall-clock command and a no-op here.
     pub(crate) fn lockstep_envelope(&mut self, envelope: Envelope) {
         // Phase spans: bracket the three lockstep phases with
         // begin/end events when traced. Frame/notification envelopes
@@ -1010,7 +978,7 @@ impl<L: Link> NodeCore<L> {
                     self.buffering = false;
                 }
             }
-            Envelope::Wake | Envelope::Stop => {}
+            Envelope::Wake => {}
         }
         if let Some((phase, round, t0)) = span {
             let wall_us = t0.elapsed().as_micros() as u64;
@@ -1038,9 +1006,8 @@ impl<L: Link> NodeCore<L> {
     }
 
     /// The wall clock reached `upto` (scaled ms since the epoch):
-    /// release delayed frames and fire due timers. Shared by the
-    /// thread-per-node `recv_timeout` path and the pool's timer wheel.
-    pub(crate) fn realtime_tick(&mut self, upto: u64) {
+    /// release delayed frames and fire due timers.
+    fn realtime_tick(&mut self, upto: u64) {
         self.release_delayed(upto);
         if self.crashed {
             self.timers.clear();
@@ -1050,8 +1017,7 @@ impl<L: Link> NodeCore<L> {
     }
 
     /// Processes one real-time envelope. `Flush`/`TimersUpTo` are
-    /// lockstep-only and ignored; `Wake` consults the wall clock
-    /// (pooled wall-clock mode); `Stop` is handled by the scheduler.
+    /// lockstep-only and ignored; `Wake` consults the wall clock.
     pub(crate) fn realtime_envelope(&mut self, envelope: Envelope) {
         match envelope {
             Envelope::Round(round) => self.enter_round(round),
@@ -1063,7 +1029,7 @@ impl<L: Link> NodeCore<L> {
                 let now = (Instant::now() - self.epoch).as_millis() as u64;
                 self.realtime_tick(now);
             }
-            Envelope::Flush | Envelope::TimersUpTo(_) | Envelope::Stop => {}
+            Envelope::Flush | Envelope::TimersUpTo(_) => {}
         }
     }
 
@@ -1078,226 +1044,6 @@ impl<L: Link> NodeCore<L> {
             traffic: self.traffic,
         }
     }
-}
-
-/// A [`NodeCore`] on its own OS thread, fed by an envelope channel —
-/// the `Scheduler::ThreadPerNode` execution mode.
-pub(crate) struct Worker<L: Link> {
-    pub(crate) core: NodeCore<L>,
-    pub(crate) rx: Receiver<Envelope>,
-}
-
-impl<L: Link> Worker<L> {
-    pub(crate) fn run(mut self) -> WorkerResult {
-        if let Some(coord) = self.core.coord.clone() {
-            // Unblock the coordinator if this thread dies mid-phase —
-            // the join then surfaces the worker's panic instead of a
-            // deadlocked wait_quiet.
-            struct AbortOnPanic(Arc<Coordination>);
-            impl Drop for AbortOnPanic {
-                fn drop(&mut self) {
-                    if thread::panicking() {
-                        self.0.abort();
-                    }
-                }
-            }
-            let _guard = AbortOnPanic(Arc::clone(&coord));
-            self.run_lockstep(&coord);
-        } else {
-            self.run_realtime();
-        }
-        self.core.finish()
-    }
-
-    fn run_lockstep(&mut self, coord: &Coordination) {
-        loop {
-            // Traced cores time the envelope wait — the thread-per-node
-            // equivalent of the pool's run-queue wait (barrier stall).
-            let parked = if self.core.traced() {
-                Some(Instant::now())
-            } else {
-                None
-            };
-            let Ok(envelope) = self.rx.recv() else { break };
-            if let Some(t0) = parked {
-                self.core.note_wait(t0.elapsed());
-            }
-            if matches!(envelope, Envelope::Stop) {
-                break;
-            }
-            self.core.lockstep_envelope(envelope);
-            coord.publish_deadline(self.core.idx, self.core.next_deadline());
-            coord.done();
-        }
-    }
-
-    fn run_realtime(&mut self) {
-        loop {
-            let envelope = match self.core.next_wake() {
-                Some(due) => {
-                    let due_at = self.core.epoch + Duration::from_millis(due);
-                    let now = Instant::now();
-                    if due_at <= now {
-                        let upto = (now - self.core.epoch).as_millis() as u64;
-                        self.core.realtime_tick(upto);
-                        continue;
-                    }
-                    match self.rx.recv_timeout(due_at - now) {
-                        Ok(envelope) => envelope,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return,
-                    }
-                }
-                None => match self.rx.recv() {
-                    Ok(envelope) => envelope,
-                    Err(_) => return,
-                },
-            };
-            if matches!(envelope, Envelope::Stop) {
-                return;
-            }
-            self.core.realtime_envelope(envelope);
-        }
-    }
-}
-
-/// The clock's view of a scheduler: one broadcast primitive that, in
-/// lockstep mode, registers with the quiescence ledger **exactly** the
-/// envelopes it then delivers. Thread-per-node drivers implement it
-/// over their sender map; the pool implements it over its slots.
-///
-/// Count-then-send must be a single operation on a single snapshot of
-/// the live set: a slot can retire *concurrently* with a phase
-/// broadcast (a crashing node's `done()` releases the barrier before
-/// its pool thread flips the retired flag), and any mismatch between
-/// what was registered and what will be processed either wedges
-/// `wait_quiet` forever or — worse — releases a phase a credit early
-/// and lets cascade frames leak across the barrier.
-pub(crate) trait ClockSink {
-    /// Sends `make()` to every live node; with `coord`, registers the
-    /// envelopes before any send and balances any send that a
-    /// concurrent retirement refuses.
-    fn broadcast(&self, coord: Option<&Arc<Coordination>>, make: &dyn Fn() -> Envelope);
-}
-
-impl ClockSink for BTreeMap<NodeId, Sender<Envelope>> {
-    fn broadcast(&self, coord: Option<&Arc<Coordination>>, make: &dyn Fn() -> Envelope) {
-        // Channel workers never retire: every sender stays live for the
-        // whole run, so the whole map is the snapshot.
-        if let Some(coord) = coord {
-            coord.add(self.len() as u64);
-        }
-        for tx in self.values() {
-            if tx.send(make()).is_err() {
-                if let Some(coord) = coord {
-                    coord.done();
-                }
-            }
-        }
-    }
-}
-
-/// Drives the session clock over an already-running scheduler: lockstep
-/// barrier phases when `coord` is present, wall-clock round ticks
-/// otherwise, then a `Stop` broadcast. Shared verbatim by every
-/// transport and both schedulers — the barrier protocol is what makes
-/// lockstep runs deterministic, so there is exactly one copy of it.
-pub(crate) fn drive_rounds(
-    sink: &dyn ClockSink,
-    coord: Option<&Arc<Coordination>>,
-    epoch: Instant,
-    rounds: u64,
-    round_ms: u64,
-) {
-    match coord {
-        Some(coord) => {
-            // Deterministic lockstep: barrier per round start, then one
-            // barrier per distinct timer deadline within the round.
-            'rounds: for round in 0..rounds {
-                sink.broadcast(Some(coord), &|| Envelope::Round(round));
-                coord.wait_quiet();
-                // Every node started the round; now release the stashed
-                // round-start frames and let the cascades settle.
-                sink.broadcast(Some(coord), &|| Envelope::Flush);
-                coord.wait_quiet();
-                // Timer phases — ack checks, monitor evaluation, exhibit
-                // resolution: every deadline strictly before the next
-                // round opens.
-                let round_end = (round + 1) * VIRTUAL_ROUND_MS;
-                while let Some(deadline) = coord.min_deadline() {
-                    if deadline >= round_end || coord.is_aborted() {
-                        break;
-                    }
-                    sink.broadcast(Some(coord), &|| Envelope::TimersUpTo(deadline));
-                    coord.wait_quiet();
-                    sink.broadcast(Some(coord), &|| Envelope::Flush);
-                    coord.wait_quiet();
-                }
-                if coord.is_aborted() {
-                    break 'rounds;
-                }
-            }
-        }
-        None => {
-            // Real time: rounds tick on the wall clock; one trailing
-            // round lets late timers (offsets < 1 round) fire.
-            for round in 0..rounds {
-                sink.broadcast(None, &|| Envelope::Round(round));
-                let next = epoch + Duration::from_millis((round + 1) * round_ms);
-                thread::sleep(next.saturating_duration_since(Instant::now()));
-            }
-            thread::sleep(Duration::from_millis(round_ms));
-        }
-    }
-
-    // Stop is a scheduler command, not phase work: never ledger-counted.
-    sink.broadcast(None, &|| Envelope::Stop);
-}
-
-/// Joins every worker thread and assembles the run outcome.
-///
-/// A panicking node no longer surfaces as an opaque
-/// `expect("node thread panicked")`: the join collects **which** nodes
-/// died and their panic payloads, and re-raises one message naming them
-/// all, so a crash in a 50-thread session points at the culprit.
-pub(crate) fn join_workers(
-    handles: Vec<(NodeId, JoinHandle<WorkerResult>)>,
-    rounds: u64,
-) -> DriverRun {
-    let mut per_node = BTreeMap::new();
-    let mut engines = BTreeMap::new();
-    let mut panics: Vec<String> = Vec::new();
-    for (id, handle) in handles {
-        match handle.join() {
-            Ok(result) => {
-                per_node.insert(result.id, result.traffic);
-                engines.insert(result.id, result.engine);
-            }
-            Err(payload) => {
-                panics.push(format!("node {id}: {}", panic_message(payload.as_ref())));
-            }
-        }
-    }
-    if !panics.is_empty() {
-        panic!("node thread(s) panicked — {}", panics.join("; "));
-    }
-    DriverRun {
-        report: TrafficReport {
-            duration: rounds as f64,
-            rounds,
-            per_node,
-        },
-        engines,
-    }
-}
-
-/// Best-effort text of a `JoinHandle` panic payload.
-pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    payload
-        .downcast_ref::<&'static str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".to_string())
 }
 
 #[cfg(test)]
@@ -1347,7 +1093,6 @@ mod tests {
             7,
         );
         NodeCore::new(
-            id.value() as usize,
             id,
             engine,
             shared.config.wire.clone(),

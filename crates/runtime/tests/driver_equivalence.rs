@@ -1,12 +1,16 @@
 //! Driver equivalence: the same seeded session run on the simnet
 //! driver, the threaded (channel) driver and the TCP socket driver —
-//! the latter two in deterministic lockstep timer mode — yields
-//! identical verdict sets, delivery metrics and traffic totals. This is
-//! the proof that `PagEngine` is genuinely sans-IO and all three
-//! drivers execute it unmodified, whether frames cross a function call,
-//! a thread boundary or a kernel socket buffer.
+//! the latter two on the worker pool in deterministic lockstep timer
+//! mode — yields identical verdict sets, delivery metrics and traffic
+//! totals. This is the proof that `PagEngine` is genuinely sans-IO and
+//! all three drivers execute it unmodified, whether frames cross a
+//! function call, a thread boundary or a kernel socket buffer. The
+//! channel legs spread over pool sizes 0 (one worker per CPU) to 4.
 
 use std::collections::BTreeSet;
+use std::sync::mpsc;
+use std::thread;
+use std::time::Duration;
 
 use pag_core::selfish::SelfishStrategy;
 use pag_membership::NodeId;
@@ -32,15 +36,6 @@ fn on_simnet(mut sc: SessionConfig) -> SessionOutcome {
     run_session(sc)
 }
 
-fn on_threads(mut sc: SessionConfig) -> SessionOutcome {
-    sc.driver = Driver::Threaded(ThreadedConfig {
-        lockstep: true,
-        seed: SEED,
-        ..ThreadedConfig::default()
-    });
-    run_session(sc)
-}
-
 fn on_tcp(mut sc: SessionConfig) -> SessionOutcome {
     sc.driver = Driver::Tcp(TcpConfig {
         lockstep: true,
@@ -50,24 +45,13 @@ fn on_tcp(mut sc: SessionConfig) -> SessionOutcome {
     run_session(sc)
 }
 
-/// The channel transport on the worker-pool scheduler (lockstep).
+/// The channel transport on a pool of `threads` workers (lockstep).
 fn on_pool(mut sc: SessionConfig, threads: usize) -> SessionOutcome {
     sc.driver = Driver::Threaded(ThreadedConfig {
         lockstep: true,
         seed: SEED,
         scheduler: Scheduler::Pool(threads),
         ..ThreadedConfig::default()
-    });
-    run_session(sc)
-}
-
-/// The socket transport on the worker-pool scheduler (lockstep).
-fn on_tcp_pool(mut sc: SessionConfig) -> SessionOutcome {
-    sc.driver = Driver::Tcp(TcpConfig {
-        lockstep: true,
-        seed: SEED,
-        scheduler: Scheduler::auto_pool(),
-        ..TcpConfig::default()
     });
     run_session(sc)
 }
@@ -132,12 +116,12 @@ fn assert_equivalent(sim: &SessionOutcome, other: &SessionOutcome) {
 #[test]
 fn honest_session_is_driver_equivalent() {
     let sim = on_simnet(base(10, 6));
-    let thr = on_threads(base(10, 6));
+    let pool = on_pool(base(10, 6), 0);
     let tcp = on_tcp(base(10, 6));
     assert!(sim.verdicts.is_empty(), "honest run convicted on simnet");
-    assert_equivalent(&sim, &thr);
+    assert_equivalent(&sim, &pool);
     assert_equivalent(&sim, &tcp);
-    assert!(thr.mean_on_time_ratio(10) > 0.95);
+    assert!(pool.mean_on_time_ratio(10) > 0.95);
     assert!(tcp.mean_on_time_ratio(10) > 0.95);
 }
 
@@ -149,25 +133,26 @@ fn freerider_session_is_driver_equivalent() {
     let mut sc = base(12, 6);
     sc.selfish.push((NodeId(5), SelfishStrategy::DropForward));
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
+    let pool = on_pool(sc.clone(), 3);
     let tcp = on_tcp(sc);
     assert_eq!(sim.convicted(), vec![NodeId(5)]);
-    assert_eq!(thr.convicted(), vec![NodeId(5)]);
+    assert_eq!(pool.convicted(), vec![NodeId(5)]);
     assert_eq!(tcp.convicted(), vec![NodeId(5)]);
-    assert_equivalent(&sim, &thr);
+    assert_equivalent(&sim, &pool);
     assert_equivalent(&sim, &tcp);
 }
 
 #[test]
 fn no_ack_session_is_driver_equivalent() {
     // Exercises the accusation / ReAsk / Nack path (timers after the
-    // serve phase) across the drivers.
+    // serve phase) across the drivers; the TCP leg is the next test.
     let mut sc = base(12, 5);
     sc.selfish.push((NodeId(3), SelfishStrategy::NoAck));
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc);
+    let pool = on_pool(sc, 2);
     assert_eq!(sim.convicted(), vec![NodeId(3)]);
-    assert_equivalent(&sim, &thr);
+    assert_eq!(pool.convicted(), vec![NodeId(3)]);
+    assert_equivalent(&sim, &pool);
 }
 
 #[test]
@@ -197,14 +182,14 @@ fn churned_session_is_driver_equivalent() {
         "schedule exercises both directions"
     );
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
+    let pool = on_pool(sc.clone(), 0);
     let tcp = on_tcp(sc);
     assert!(
         sim.verdicts.is_empty(),
         "clean churn convicted: {:?}",
         sim.verdicts
     );
-    assert_equivalent(&sim, &thr);
+    assert_equivalent(&sim, &pool);
     assert_equivalent(&sim, &tcp);
 }
 
@@ -221,10 +206,10 @@ fn churned_selfish_session_is_driver_equivalent() {
     // Keep the freerider in the session: drop any scheduled leave of 5.
     sc.churn.retain(|e| e.node != NodeId(5));
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
+    let pool = on_pool(sc.clone(), 4);
     let tcp = on_tcp(sc.clone());
     assert_eq!(sim.convicted(), vec![NodeId(5)]);
-    assert_eq!(thr.convicted(), vec![NodeId(5)]);
+    assert_eq!(pool.convicted(), vec![NodeId(5)]);
     assert_eq!(tcp.convicted(), vec![NodeId(5)]);
     let leavers: Vec<NodeId> = sc
         .churn
@@ -239,110 +224,14 @@ fn churned_selfish_session_is_driver_equivalent() {
             "honest leaver convicted: {v}"
         );
     }
-    assert_equivalent(&sim, &thr);
+    assert_equivalent(&sim, &pool);
     assert_equivalent(&sim, &tcp);
 }
 
 #[test]
-fn honest_session_is_pool_equivalent() {
-    // The worker-pool scheduler against the simulator: multiplexing
-    // every node over few threads must not change a single verdict,
-    // delivery, crypto op or traffic byte.
-    let sim = on_simnet(base(10, 6));
-    let pool = on_pool(base(10, 6), 0);
-    assert_equivalent(&sim, &pool);
-    assert!(pool.mean_on_time_ratio(10) > 0.95);
-}
-
-#[test]
-fn freerider_session_is_pool_equivalent() {
-    let mut sc = base(12, 6);
-    sc.selfish.push((NodeId(5), SelfishStrategy::DropForward));
-    let sim = on_simnet(sc.clone());
-    let pool = on_pool(sc, 3);
-    assert_eq!(pool.convicted(), vec![NodeId(5)]);
-    assert_equivalent(&sim, &pool);
-}
-
-#[test]
-fn no_ack_session_is_pool_equivalent() {
-    // The accusation / ReAsk / Nack path (timer phases after the serve
-    // phase) under the pooled scheduler.
-    let mut sc = base(12, 5);
-    sc.selfish.push((NodeId(3), SelfishStrategy::NoAck));
-    let sim = on_simnet(sc.clone());
-    let pool = on_pool(sc, 2);
-    assert_eq!(pool.convicted(), vec![NodeId(3)]);
-    assert_equivalent(&sim, &pool);
-}
-
-#[test]
-fn churned_session_is_pool_equivalent() {
-    // Joins and leaves mid-session on the pooled scheduler: identical
-    // to the simulator, including the announcement traffic, and clean
-    // churn convicts nobody.
-    let mut sc = base(12, 8);
-    sc.churn = ChurnSchedule::steady(SEED, 12, 8, 1, 1).events().to_vec();
-    let sim = on_simnet(sc.clone());
-    let pool = on_pool(sc, 0);
-    assert!(sim.verdicts.is_empty(), "clean churn convicted: {:?}", sim.verdicts);
-    assert_equivalent(&sim, &pool);
-}
-
-#[test]
-fn churned_selfish_session_is_pool_equivalent() {
-    // Detection keeps working when churn meets the pool: the freerider
-    // is convicted identically, honest leavers stay clean.
-    let mut sc = base(14, 8);
-    sc.selfish.push((NodeId(5), SelfishStrategy::DropForward));
-    sc.churn = ChurnSchedule::steady(SEED ^ 1, 14, 8, 1, 1)
-        .events()
-        .to_vec();
-    sc.churn.retain(|e| e.node != NodeId(5));
-    let sim = on_simnet(sc.clone());
-    let pool = on_pool(sc.clone(), 4);
-    assert_eq!(pool.convicted(), vec![NodeId(5)]);
-    let leavers: Vec<NodeId> = sc
-        .churn
-        .iter()
-        .filter(|e| e.kind == pag_runtime::ChurnKind::Leave)
-        .map(|e| e.node)
-        .collect();
-    assert!(!leavers.is_empty());
-    for v in &pool.verdicts {
-        assert!(!leavers.contains(&v.accused), "honest leaver convicted: {v}");
-    }
-    assert_equivalent(&sim, &pool);
-}
-
-#[test]
-fn crash_session_is_pool_equivalent() {
-    // A fail-stop crash retires the engine from the pool's run queue;
-    // quiescence must not wedge and the outcome must still match the
-    // simulator exactly (only the crashed node may be convicted).
-    let mut sc = base(10, 6);
-    sc.crashes.push((NodeId(7), 2));
-    let sim = on_simnet(sc.clone());
-    let pool = on_pool(sc, 2);
-    for v in &pool.verdicts {
-        assert_eq!(v.accused, NodeId(7), "living node convicted: {v}");
-    }
-    assert_equivalent(&sim, &pool);
-}
-
-#[test]
-fn tcp_session_is_pool_equivalent() {
-    // The pool sits behind the Link abstraction: real sockets plug into
-    // the pooled scheduler unchanged and stay simulator-equivalent.
-    let sim = on_simnet(base(10, 5));
-    let tcp_pool = on_tcp_pool(base(10, 5));
-    assert_equivalent(&sim, &tcp_pool);
-}
-
-#[test]
 fn threaded_lockstep_is_self_deterministic() {
-    let a = on_threads(base(10, 5));
-    let b = on_threads(base(10, 5));
+    let a = on_pool(base(10, 5), 0);
+    let b = on_pool(base(10, 5), 0);
     assert_equivalent(&a, &b);
 }
 
@@ -359,8 +248,8 @@ fn threaded_realtime_smoke() {
     // the full protocol must run, deliver and stay conviction-free.
     // 200 ms rounds leave the scaled protocol deadlines (ack check at
     // 70 ms, eval at 130 ms, exhibits at 180 ms) enough slack that a
-    // briefly descheduled node thread on a loaded CI box does not get
-    // accused for missing its window. ~1.2 s of wall time.
+    // briefly descheduled pool worker on a loaded CI box does not get
+    // a node accused for missing its window. ~1.2 s of wall time.
     let mut sc = base(8, 6);
     sc.driver = Driver::Threaded(ThreadedConfig {
         round_ms: 200,
@@ -381,16 +270,57 @@ fn threaded_realtime_smoke() {
     assert!(outcome.report.mean_bandwidth_kbps() > 0.0);
 }
 
+/// Runs `session` on a thread of its own and fails the test, instead of
+/// hanging it, when the lockstep barrier never releases.
+fn within_watchdog(
+    what: &str,
+    session: impl FnOnce() -> SessionOutcome + Send + 'static,
+) -> SessionOutcome {
+    let (tx, rx) = mpsc::channel();
+    let handle = thread::spawn(move || {
+        let _ = tx.send(session());
+    });
+    match rx.recv_timeout(Duration::from_secs(120)) {
+        Ok(outcome) => outcome,
+        Err(mpsc::RecvTimeoutError::Timeout) => {
+            panic!("lockstep wedged: the {what} session did not finish within 120 s")
+        }
+        Err(mpsc::RecvTimeoutError::Disconnected) => std::panic::resume_unwind(
+            handle
+                .join()
+                .expect_err("a session thread exits without an outcome only by panicking"),
+        ),
+    }
+}
+
 #[test]
-fn threaded_crash_goes_silent() {
+fn crash_session_is_driver_equivalent() {
+    // A fail-stop crash (n7 from round 2) on both transports, each on
+    // an explicit two-worker pool. The crashed core keeps its slot and
+    // credits every envelope it is sent, so neither transport may wedge
+    // the barrier — over TCP the peers' frames to n7 are charged to the
+    // ledger before the socket write, so n7's readers must keep reading
+    // them. Like the simulator, only n7 may be accused
+    // (unresponsiveness), never a living node.
     let mut sc = base(10, 6);
     sc.crashes.push((NodeId(7), 2));
-    let thr = on_threads(sc);
-    // The crashed node stops participating; like the simulator, only it
-    // may be convicted (unresponsiveness), never a living node.
-    for v in &thr.verdicts {
-        assert_eq!(v.accused, NodeId(7), "living node convicted: {v}");
+    let sim = on_simnet(sc.clone());
+    let pool_sc = sc.clone();
+    let pool = within_watchdog("channel pool", move || on_pool(pool_sc, 2));
+    sc.driver = Driver::Tcp(TcpConfig {
+        lockstep: true,
+        seed: SEED,
+        scheduler: Scheduler::Pool(2),
+        ..TcpConfig::default()
+    });
+    let tcp = within_watchdog("TCP", move || run_session(sc));
+    for outcome in [&sim, &pool, &tcp] {
+        for v in &outcome.verdicts {
+            assert_eq!(v.accused, NodeId(7), "living node convicted: {v}");
+        }
     }
+    assert_equivalent(&sim, &pool);
+    assert_equivalent(&sim, &tcp);
 }
 
 #[test]
@@ -408,17 +338,15 @@ fn severed_links_session_is_driver_equivalent() {
         .to_vec();
     assert!(!sc.faults.is_empty());
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
-    let tcp = on_tcp(sc.clone());
-    let pool = on_pool(sc, 2);
+    let pool = on_pool(sc.clone(), 2);
+    let tcp = on_tcp(sc);
     assert!(
         sim.verdicts.is_empty(),
         "honest severed session convicted: {:?}",
         sim.verdicts
     );
-    assert_equivalent(&sim, &thr);
-    assert_equivalent(&sim, &tcp);
     assert_equivalent(&sim, &pool);
+    assert_equivalent(&sim, &tcp);
 }
 
 #[test]
@@ -427,22 +355,20 @@ fn partition_heal_session_is_driver_equivalent() {
     // the two groups cut for rounds [3, 5), then healed) converges back
     // to the unfaulted verdict set — nobody is convicted for frames the
     // network ate — and the faulted run itself is bit-identical across
-    // all four driver configurations.
+    // all three drivers.
     let mut sc = base(10, 10);
     sc.faults = FaultSchedule::split_brain(SEED, 10, 3, 5).events().to_vec();
     let unfaulted = on_simnet(base(10, 10));
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
-    let tcp = on_tcp(sc.clone());
-    let pool = on_pool(sc, 3);
+    let pool = on_pool(sc.clone(), 3);
+    let tcp = on_tcp(sc);
     assert_eq!(
         verdict_set(&sim),
         verdict_set(&unfaulted),
         "partition-heal diverged from the unfaulted verdicts"
     );
-    assert_equivalent(&sim, &thr);
-    assert_equivalent(&sim, &tcp);
     assert_equivalent(&sim, &pool);
+    assert_equivalent(&sim, &tcp);
 }
 
 #[test]
@@ -451,7 +377,7 @@ fn crash_restart_session_is_driver_equivalent() {
     // state snapshot round-trips through the codec, and it rejoins via
     // the ordinary membership machinery — an honest restart is *never*
     // convicted, on any driver, and the whole faulted session stays
-    // bit-identical across all four driver configurations.
+    // bit-identical across all three drivers.
     let restarted = NodeId(6);
     let mut sc = base(10, 10);
     sc.faults = vec![FaultEvent::CrashRestart {
@@ -460,10 +386,9 @@ fn crash_restart_session_is_driver_equivalent() {
         restart_round: 6,
     }];
     let sim = on_simnet(sc.clone());
-    let thr = on_threads(sc.clone());
-    let tcp = on_tcp(sc.clone());
-    let pool = on_pool(sc, 3);
-    for outcome in [&sim, &thr, &tcp, &pool] {
+    let pool = on_pool(sc.clone(), 3);
+    let tcp = on_tcp(sc);
+    for outcome in [&sim, &pool, &tcp] {
         assert!(
             !outcome.convicted().contains(&restarted),
             "honest restart convicted: {:?}",
@@ -478,9 +403,8 @@ fn crash_restart_session_is_driver_equivalent() {
         // + re-announce), it did not just idle.
         assert_eq!(outcome.metrics[&restarted].recoveries, 1);
     }
-    assert_equivalent(&sim, &thr);
-    assert_equivalent(&sim, &tcp);
     assert_equivalent(&sim, &pool);
+    assert_equivalent(&sim, &tcp);
 }
 
 #[test]
@@ -488,18 +412,17 @@ fn traced_session_is_bit_identical_to_untraced() {
     // The flight recorder's acceptance bar (DESIGN.md §14): turning
     // tracing on changes *nothing* the protocol can see — verdicts,
     // deliveries, crypto ops and traffic stay bit-identical on every
-    // driver configuration — while the outcome gains a real trace
-    // (round histograms populated, events recorded).
+    // driver — while the outcome gains a real trace (round histograms
+    // populated, events recorded, run-queue stalls on the pooled ones).
     let traced = |mut sc: SessionConfig| {
         sc.trace = TraceConfig::on();
         sc
     };
     type Runner = fn(SessionConfig) -> SessionOutcome;
-    let runs: [(&str, Runner); 4] = [
+    let runs: [(&str, Runner); 3] = [
         ("simnet", on_simnet),
-        ("threaded", on_threads),
+        ("pool", |sc| on_pool(sc, 3)),
         ("tcp", on_tcp),
-        ("tcp-pool", on_tcp_pool),
     ];
     for (name, run) in runs {
         let plain = run(base(10, 6));
@@ -524,26 +447,6 @@ fn traced_session_is_bit_identical_to_untraced() {
             );
         }
     }
-    // The pooled channel scheduler additionally records run-queue
-    // stalls; equivalence must hold there too.
-    let plain = on_pool(base(10, 6), 3);
-    let with_trace = on_pool(traced(base(10, 6)), 3);
-    assert_equivalent(&plain, &with_trace);
-    assert!(with_trace.trace.is_some(), "pool: traced run lost its trace");
-}
-
-#[test]
-fn tcp_crash_goes_silent() {
-    let mut sc = base(10, 6);
-    sc.crashes.push((NodeId(7), 2));
-    let tcp = on_tcp(sc.clone());
-    let sim = on_simnet(sc);
-    for v in &tcp.verdicts {
-        assert_eq!(v.accused, NodeId(7), "living node convicted: {v}");
-    }
-    // Crash handling is worker-side, so the socket driver matches the
-    // simulator exactly too.
-    assert_equivalent(&sim, &tcp);
 }
 
 // ---------------------------------------------------------------------

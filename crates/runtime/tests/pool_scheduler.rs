@@ -27,6 +27,14 @@ fn base(nodes: usize, rounds: u64) -> SessionConfig {
     sc
 }
 
+fn on_simnet(mut sc: SessionConfig) -> SessionOutcome {
+    sc.driver = Driver::Simnet(SimConfig {
+        seed: SEED,
+        ..SimConfig::default()
+    });
+    run_session(sc)
+}
+
 fn on_scheduler(mut sc: SessionConfig, scheduler: Scheduler) -> SessionOutcome {
     sc.driver = Driver::Threaded(ThreadedConfig {
         lockstep: true,
@@ -78,8 +86,8 @@ proptest! {
 
     /// Lockstep pooled runs are deterministic **across pool sizes**:
     /// one thread, a few threads and one-per-CPU all produce the exact
-    /// outcome of the dedicated-thread scheduler, whatever the topology
-    /// (session id), size, length or churn interleaving.
+    /// outcome of the simulator, whatever the topology (session id),
+    /// size, length or churn interleaving.
     #[test]
     fn pooled_lockstep_is_pool_size_invariant(
         session_id in 0u64..500,
@@ -94,13 +102,13 @@ proptest! {
                 .events()
                 .to_vec();
         }
-        let tpn = on_scheduler(sc.clone(), Scheduler::ThreadPerNode);
         let p1 = on_scheduler(sc.clone(), Scheduler::Pool(1));
         let p4 = on_scheduler(sc.clone(), Scheduler::Pool(4));
-        let pcpu = on_scheduler(sc, Scheduler::auto_pool());
-        assert_same_outcome(&tpn, &p1, "ThreadPerNode vs Pool(1)");
-        assert_same_outcome(&p1, &p4, "Pool(1) vs Pool(4)");
-        assert_same_outcome(&p4, &pcpu, "Pool(4) vs Pool(ncpu)");
+        let pcpu = on_scheduler(sc.clone(), Scheduler::Pool(0));
+        let sim = on_simnet(sc);
+        assert_same_outcome(&sim, &p1, "Simnet vs Pool(1)");
+        assert_same_outcome(&sim, &p4, "Simnet vs Pool(4)");
+        assert_same_outcome(&sim, &pcpu, "Simnet vs Pool(ncpu)");
     }
 
     /// No engine starves: however few threads the pool has, every ready
@@ -169,7 +177,7 @@ fn flash_crowd_and_mass_departure_run_pooled() {
     let crowd = ChurnSchedule::flash_crowd(10, 3, 5);
     sc.churn = crowd.events().to_vec();
     sc.driver = Driver::Threaded(ThreadedConfig {
-        scheduler: Scheduler::auto_pool(),
+        scheduler: Scheduler::Pool(0),
         seed: SEED,
         ..ThreadedConfig::default()
     });
@@ -202,7 +210,7 @@ fn flash_crowd_and_mass_departure_run_pooled() {
 #[test]
 fn crashes_and_churn_retire_cleanly_under_the_pool() {
     // Crash feeds meet churn feeds on a 2-thread pool: crashed engines
-    // retire from the run queue without wedging lockstep quiescence
+    // keep draining their slots without wedging lockstep quiescence
     // (the run completes), honest leavers are never convicted, and only
     // crashed nodes may be accused.
     let mut sc = base(14, 8);
@@ -235,8 +243,8 @@ fn pooled_realtime_smoke() {
     // Wall-clock mode on the pool: rounds tick on the wall clock and
     // the shared timer wheel (not per-thread recv_timeout deadlines)
     // fires engine timers. The protocol must run, deliver and stay
-    // conviction-free — same slack rationale as the thread-per-node
-    // realtime smoke (200 ms rounds scale every deadline comfortably).
+    // conviction-free — same slack rationale as the threaded realtime
+    // smoke (200 ms rounds scale every deadline comfortably).
     let mut sc = base(8, 6);
     sc.driver = Driver::Threaded(ThreadedConfig {
         round_ms: 200,
@@ -275,7 +283,7 @@ fn scale_1000_node_pooled_session_matches_simnet() {
     pooled.driver = Driver::Threaded(ThreadedConfig {
         lockstep: true,
         seed: SEED,
-        scheduler: Scheduler::auto_pool(),
+        scheduler: Scheduler::Pool(0),
         ..ThreadedConfig::default()
     });
     let pooled = run_session(pooled);

@@ -2,7 +2,7 @@
 //! the in-process drivers never face — wall-clock timing over kernel
 //! sockets, fault emulation on the socket path, and above all hostile
 //! bytes: connections spraying garbage, truncated and oversized frames
-//! must be **counted and dropped, never panic a node thread** (the
+//! must be **counted and dropped, never panic a node** (the
 //! `decode_frame(...).expect(...)` this replaces was untenable the
 //! moment bytes arrive from a socket).
 
@@ -427,19 +427,19 @@ fn rejected_frame_flood_is_contained_under_the_pool() {
     }
 }
 
-/// De-panic satellite: when a node thread *does* die (forced here via a
-/// wire profile the codec refuses, an internal invariant violation),
-/// the session error names the node and carries the panic payload
-/// instead of an opaque "node thread panicked". Runs on the threaded
-/// driver: over TCP the same broken profile now fails the *handshake*
-/// at setup (see the companion test below) before any node thread can
-/// touch it.
+/// De-panic satellite: when a pool worker *does* die stepping a node
+/// (forced here via a wire profile the codec refuses, an internal
+/// invariant violation), the session error names the node and carries
+/// the panic payload instead of an opaque "thread panicked". Runs on
+/// the threaded driver: over TCP the same broken profile now fails the
+/// *handshake* at setup (see the companion test below) before any node
+/// can touch it.
 #[test]
 fn worker_panic_names_the_node_and_payload() {
     let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         let mut sc = base(6, 2);
         // header != 13 makes encode_frame error out, so the first send
-        // from any node panics its worker thread.
+        // from any node panics the pool worker stepping it.
         sc.pag.wire.header = 12;
         sc.driver = Driver::Threaded(ThreadedConfig::default());
         run_session(sc)
@@ -451,7 +451,7 @@ fn worker_panic_names_the_node_and_payload() {
         .or_else(|| payload.downcast_ref::<&str>().map(|s| s.to_string()))
         .expect("string panic payload");
     assert!(
-        msg.contains("node thread(s) panicked"),
+        msg.contains("pool worker thread(s) panicked (while stepping: "),
         "unexpected panic message: {msg}"
     );
     assert!(msg.contains("node n0"), "panicking node not named: {msg}");
