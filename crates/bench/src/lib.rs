@@ -19,20 +19,18 @@
 
 use pag_core::config::CryptoProfile;
 use pag_membership::NodeId;
-use pag_runtime::{
-    ChurnSchedule, Driver, FaultEvent, FaultSchedule, SessionConfig, TcpConfig, ThreadedConfig,
-};
+use pag_runtime::{ChurnSchedule, Driver, FaultEvent, FaultSchedule, SessionConfig, TcpConfig};
 
 /// Returns true when `--quick` was passed on the command line.
 pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// The frozen real-crypto scenario shared by the `bench_snapshot` bin
-/// and the `protocol_round` criterion bench: real RSA-512 signatures
-/// and a paper-sized 512-bit homomorphic modulus, so the measured cost
-/// is dominated by the crypto hot path. Keep both consumers on this
-/// one definition — `BENCH_protocol.json` comparisons across PRs
+/// The frozen real-crypto scenario shared by the op-count pins in
+/// `tests/protocol_pins.rs` and the `protocol_round` criterion bench:
+/// real RSA-512 signatures and a paper-sized 512-bit homomorphic
+/// modulus, so the measured cost is dominated by the crypto hot path.
+/// Keep both consumers on this one definition — the pinned counts
 /// assume the scenario never drifts.
 pub fn real_crypto_session(nodes: usize, rounds: u64) -> SessionConfig {
     let mut sc = SessionConfig::honest(nodes, rounds);
@@ -47,8 +45,7 @@ pub fn real_crypto_session(nodes: usize, rounds: u64) -> SessionConfig {
     sc
 }
 
-/// The frozen churned-session scenario behind the `churn_steady_50`
-/// entry of `BENCH_protocol.json`: the real-crypto profile of
+/// The frozen churned-session scenario: the real-crypto profile of
 /// [`real_crypto_session`] plus a steady churn rate of `joins` joins and
 /// `leaves` leaves per round (seed 50, fixed forever for comparability).
 pub fn churn_steady_session(
@@ -64,42 +61,15 @@ pub fn churn_steady_session(
     sc
 }
 
-/// The frozen socket-transport scenario behind the `tcp_session_20`
-/// entry of `BENCH_protocol.json`: the real-crypto session of
-/// [`real_crypto_session`] executed on the TCP driver in lockstep mode
-/// (deterministic, so the only variable across PRs is the cost of the
-/// transport itself: stream framing, loopback socket transit, reader
-/// threads, and the reject-don't-panic decode path).
-pub fn tcp_session(nodes: usize, rounds: u64) -> SessionConfig {
-    let mut sc = real_crypto_session(nodes, rounds);
-    sc.driver = Driver::Tcp(TcpConfig::default());
-    sc
-}
-
-/// The frozen worker-pool scenario behind the `pool_session_1000`
-/// entry of `BENCH_protocol.json`: the real-crypto profile of
-/// [`real_crypto_session`] executed on the threaded driver's default
-/// worker pool (`Scheduler::Pool(0)` = one worker per CPU, lockstep).
-/// Run at the static scenario's size it must produce bit-identical
-/// crypto ops to the simulator — `bench_snapshot` asserts it — and at
-/// 1000 nodes it is the gossip-scale session the pool exists for
-/// (DESIGN.md §11).
-pub fn pooled_session(nodes: usize, rounds: u64) -> SessionConfig {
-    let mut sc = real_crypto_session(nodes, rounds);
-    sc.driver = Driver::Threaded(ThreadedConfig::default());
-    sc
-}
-
-/// The frozen fault-injection scenario behind the `faulted_session`
-/// entry of `BENCH_protocol.json`: the real-crypto profile of
+/// The frozen fault-injection scenario: the real-crypto profile of
 /// [`real_crypto_session`] plus a transient split-brain partition over
 /// rounds `[2, 4)` (seed 60, fixed forever for comparability) and a
 /// crash of the highest-numbered node at round 2 that restarts at
-/// round 4 — so the wall-clock figure tracks the cost of the fault
-/// plan's send-side checks plus a full crash-recovery rejoin (snapshot
-/// round-trip and membership re-announce). The scenario is honest: it
-/// must convict nobody, on any driver (the driver-equivalence suite
-/// pins the outcome bit for bit).
+/// round 4, so it exercises the fault plan's send-side checks plus a
+/// full crash-recovery rejoin (snapshot round-trip and membership
+/// re-announce). The scenario is honest: it must convict nobody, on
+/// any driver (the driver-equivalence suite pins the outcome bit for
+/// bit).
 pub fn faulted_session(nodes: usize, rounds: u64) -> SessionConfig {
     let mut sc = real_crypto_session(nodes, rounds);
     sc.faults = FaultSchedule::split_brain(60, nodes, 2, 4).events().to_vec();
@@ -111,28 +81,11 @@ pub fn faulted_session(nodes: usize, rounds: u64) -> SessionConfig {
     sc
 }
 
-/// The frozen flight-recorder scenario behind the `traced_session`
-/// entry of `BENCH_protocol.json`: exactly [`pooled_session`] with the
-/// pag-obs recorder turned on (`TraceConfig::on()`, default rings, no
-/// JSONL sink). `bench_snapshot` runs it against the untraced pooled
-/// session of the same size and asserts the crypto ops are
-/// bit-identical while reporting the wall-clock overhead — the
-/// acceptance bar is that tracing observes without perturbing and
-/// costs < 5% (PERF.md PR 8).
-pub fn traced_session(nodes: usize, rounds: u64) -> SessionConfig {
-    let mut sc = pooled_session(nodes, rounds);
-    sc.trace = pag_runtime::TraceConfig::on();
-    sc
-}
-
-/// One of the frozen sessions behind the `host_multi_session` entry of
-/// `BENCH_protocol.json`: the real-crypto profile of
-/// [`real_crypto_session`] on the lockstep TCP driver (every mesh link
-/// authenticated by the signed handshake), under an explicit protocol
-/// `session_id` so two of them can run concurrently on one `pag-host`
-/// with separate key rosters and snapshot stores. `bench_snapshot`
-/// runs the pair hosted and standalone and asserts the crypto ops are
-/// bit-identical — hosting must be observably free.
+/// The frozen hosted-pair scenario, one session of it: the real-crypto
+/// profile of [`real_crypto_session`] on the lockstep TCP driver (every
+/// mesh link authenticated by the signed handshake), under an explicit
+/// protocol `session_id`, which keys the session's key roster and
+/// snapshot store.
 pub fn host_session(session_id: u64, nodes: usize, rounds: u64) -> SessionConfig {
     let mut sc = real_crypto_session(nodes, rounds);
     sc.pag.session_id = session_id;

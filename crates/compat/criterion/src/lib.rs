@@ -6,9 +6,8 @@
 //! then time batches until a fixed measurement budget is spent, and
 //! report the mean time per iteration on stdout.
 //!
-//! No statistical analysis, plots or saved baselines; for trajectory
-//! tracking the workspace commits JSON snapshots instead (see
-//! `pag-bench`'s `bench_snapshot` binary).
+//! No statistical analysis, plots or saved baselines; regressions are
+//! judged by the repo benchmark (`BENCHMARK.json`) instead.
 
 #![forbid(unsafe_code)]
 
@@ -104,11 +103,6 @@ pub struct BenchmarkGroup<'a> {
 impl BenchmarkGroup<'_> {
     /// Accepted for API compatibility; the harness sizes samples by time.
     pub fn sample_size(&mut self, _n: usize) -> &mut Self {
-        self
-    }
-
-    /// Accepted for API compatibility.
-    pub fn measurement_time(&mut self, _t: Duration) -> &mut Self {
         self
     }
 

@@ -161,17 +161,6 @@ pub mod strategy {
     impl_tuple_strategy!(A / a, B / b);
     impl_tuple_strategy!(A / a, B / b, C / c);
     impl_tuple_strategy!(A / a, B / b, C / c, D / d);
-
-    /// A strategy that always yields a clone of one value.
-    pub struct Just<T: Clone>(pub T);
-
-    impl<T: Clone> Strategy for Just<T> {
-        type Value = T;
-
-        fn sample(&self, _rng: &mut StdRng) -> T {
-            self.0.clone()
-        }
-    }
 }
 
 /// Collection strategies.
@@ -213,8 +202,8 @@ where
 /// Everything a property-test module normally imports.
 pub mod prelude {
     pub use crate::config::ProptestConfig;
-    pub use crate::strategy::{Just, Strategy};
-    pub use crate::{any, prop_assert, prop_assert_eq, prop_assert_ne, prop_assume, proptest};
+    pub use crate::strategy::Strategy;
+    pub use crate::{any, prop_assert, prop_assert_eq, prop_assert_ne, proptest};
 }
 
 /// Deterministic per-test RNG derivation (FNV-1a over the test path).
@@ -278,16 +267,6 @@ macro_rules! prop_assert_eq {
 #[macro_export]
 macro_rules! prop_assert_ne {
     ($($tt:tt)*) => { assert_ne!($($tt)*) };
-}
-
-/// Skips the current case when the assumption fails.
-#[macro_export]
-macro_rules! prop_assume {
-    ($cond:expr) => {
-        if !$cond {
-            continue;
-        }
-    };
 }
 
 #[cfg(test)]

@@ -36,7 +36,7 @@ fn canonical_4node_2round_freerider_crash_is_exhaustive_and_clean() {
     // measured count is also pinned exactly — exploration is
     // deterministic (seeded engines, canonical fingerprints), so any
     // semantic drift in the engine or the driver model shows up here
-    // first (update alongside BENCH_protocol.json when intentional).
+    // first (update it, and DESIGN.md §15's table, when intentional).
     assert!(
         report.states >= 10_000,
         "expected tens of thousands of deduped states, got {}",
@@ -46,8 +46,9 @@ fn canonical_4node_2round_freerider_crash_is_exhaustive_and_clean() {
         (report.states, report.transitions, report.terminals),
         (17_680, 51_412, 2),
         "canonical state space drifted — intentional changes must update \
-         this pin and BENCH_protocol.json"
+         this pin and DESIGN.md §15"
     );
+    assert_eq!(report.depth, 115, "canonical exploration depth drifted");
     assert!(report.terminals > 0, "quiescent end must be reachable");
     assert!(report.transitions > report.states, "interleavings must branch");
 

@@ -14,15 +14,15 @@
 //! deliveries across drivers, not raw traffic.
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use pag_core::engine::{Effect, Input, PagEngine};
 use pag_core::SignedMessage;
 use pag_membership::NodeId;
-use pag_obs::{CryptoOp, NodeRecorder};
+use pag_obs::NodeRecorder;
 use pag_simnet::{Context, Protocol, SimDuration, TrafficClass as SimClass};
 
 use crate::faults::FaultPlan;
+use crate::worker::step_engine;
 
 /// A [`PagEngine`] speaking the simulator's [`Protocol`] trait.
 #[derive(Debug)]
@@ -100,30 +100,12 @@ impl SimnetPag {
     /// Feeds one input and executes the effects against the simulator.
     fn pump(&mut self, input: Input, ctx: &mut Context<'_, SignedMessage>) {
         self.effects.clear();
-        if let Some(rec) = &mut self.rec {
-            // Attribute the step's wall time to crypto op classes in
-            // proportion to the ops the engine performed, exactly like
-            // the transport workers' `NodeCore::feed`.
-            let before = self.engine.metrics().ops.clone();
-            let t0 = Instant::now();
-            self.engine.handle_into(input, &mut self.effects);
-            let wall_us = t0.elapsed().as_micros() as u64;
-            let delta = self.engine.metrics().ops.delta_since(&before);
-            let total = delta.total();
-            for (op, count) in [
-                (CryptoOp::Hash, delta.hashes),
-                (CryptoOp::Sign, delta.signatures),
-                (CryptoOp::Verify, delta.verifications),
-                (CryptoOp::Prime, delta.primes),
-            ] {
-                // count > 0 implies total > 0, so the division is live.
-                if let (true, Some(share)) = (count > 0, (wall_us * count).checked_div(total)) {
-                    rec.crypto(op, count, share);
-                }
-            }
-        } else {
-            self.engine.handle_into(input, &mut self.effects);
-        }
+        step_engine(
+            &mut self.engine,
+            input,
+            &mut self.effects,
+            self.rec.as_deref_mut(),
+        );
         let me = self.engine.id();
         for effect in self.effects.drain(..) {
             match effect {

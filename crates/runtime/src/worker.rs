@@ -413,6 +413,40 @@ pub(crate) fn merged_feeds(
     feeds
 }
 
+/// Feeds one input to `engine`, appending its effects to `fx`. With a
+/// recorder, the step is timed and its wall time is split over the op
+/// classes the counters say ran, in proportion to their counts: the
+/// engine stays pure and every timing is taken out here (DESIGN.md
+/// §14). One helper shared by the worker cores and the simnet adapter.
+pub(crate) fn step_engine(
+    engine: &mut PagEngine,
+    input: Input,
+    fx: &mut Vec<Effect>,
+    rec: Option<&mut NodeRecorder>,
+) {
+    let Some(rec) = rec else {
+        engine.handle_into(input, fx);
+        return;
+    };
+    let before = engine.metrics().ops.clone();
+    let t0 = Instant::now();
+    engine.handle_into(input, fx);
+    let wall_us = t0.elapsed().as_micros() as u64;
+    let delta = engine.metrics().ops.delta_since(&before);
+    let total = delta.total();
+    for (op, count) in [
+        (CryptoOp::Hash, delta.hashes),
+        (CryptoOp::Sign, delta.signatures),
+        (CryptoOp::Verify, delta.verifications),
+        (CryptoOp::Prime, delta.primes),
+    ] {
+        // count > 0 implies total > 0, so the division is live.
+        if let (true, Some(share)) = (count > 0, (wall_us * count).checked_div(total)) {
+            rec.crypto(op, count, share);
+        }
+    }
+}
+
 /// The per-node protocol state machine, generic over the outbound
 /// transport and neutral to the scheduler stepping it.
 ///
@@ -590,33 +624,7 @@ impl<L: Link> NodeCore<L> {
     fn feed(&mut self, input: Input) {
         let mut fx = std::mem::take(&mut self.effects);
         fx.clear();
-        if self.rec.is_some() {
-            // Effect-adjacent crypto timing: the engine stays pure —
-            // we time the whole step out here and attribute its wall
-            // time to the op classes the counters say ran, split
-            // proportionally by count (DESIGN.md §14).
-            let before = self.engine.metrics().ops.clone();
-            let t0 = Instant::now();
-            self.engine.handle_into(input, &mut fx);
-            let wall_us = t0.elapsed().as_micros() as u64;
-            let delta = self.engine.metrics().ops.delta_since(&before);
-            let total = delta.total();
-            if let Some(rec) = self.rec.as_deref_mut() {
-                for (op, count) in [
-                    (CryptoOp::Hash, delta.hashes),
-                    (CryptoOp::Sign, delta.signatures),
-                    (CryptoOp::Verify, delta.verifications),
-                    (CryptoOp::Prime, delta.primes),
-                ] {
-                    // count > 0 implies total > 0, so the division is live.
-                    if let (true, Some(share)) = (count > 0, (wall_us * count).checked_div(total)) {
-                        rec.crypto(op, count, share);
-                    }
-                }
-            }
-        } else {
-            self.engine.handle_into(input, &mut fx);
-        }
+        step_engine(&mut self.engine, input, &mut fx, self.rec.as_deref_mut());
         for effect in fx.drain(..) {
             match effect {
                 Effect::Send {

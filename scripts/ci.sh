@@ -22,17 +22,14 @@
 #      and link kills on live sockets (§10, §12, §13); pool-size
 #      invariance and starvation freedom (§11); the fault-schedule
 #      properties (§12); the pag-host suite (§13); the pag-obs units
-#      and sink integration tests (§14)
+#      and sink integration tests (§14); the real-crypto op-count,
+#      bandwidth and exchange pins (crates/bench/tests/protocol_pins.rs)
 #   6. model checker, the part step 5 leaves out: the 5-node / 3-round
 #      exhaustive exploration in release (`--ignored`; DESIGN.md §15)
 #   7. worker-pool scheduler, the part step 5 leaves out: the
 #      1000-node pooled lockstep smoke in release (`--ignored`: a
 #      thousand engines belong in an optimized build; DESIGN.md §11)
-#   8. bench_snapshot --quick smoke run (honest static, churned, TCP,
-#      pooled, traced, faulted, hosted and model-check scenarios, real
-#      RSA-512 crypto; writes to a scratch path, never over the
-#      committed snapshot)
-#   9. repo benchmark smoke run: builds the standalone `benchmark/`
+#   8. repo benchmark smoke run: builds the standalone `benchmark/`
 #      package against the workspace crates and runs every workload
 #      and both stages at --quick size (8–64 nodes), so a change that
 #      breaks the API surface listed in benchmark/README.md, or an
@@ -47,10 +44,10 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/9] workspace release build =="
+echo "== [1/8] workspace release build =="
 cargo build --release --workspace
 
-echo "== [2/9] per-crate builds, deny warnings =="
+echo "== [2/8] per-crate builds, deny warnings =="
 # Force only the gated crates themselves to recompile (their
 # dependencies stay cached from step 1 — no RUSTFLAGS flip, no double
 # build) and fail on any warning the fresh compiles print.
@@ -69,10 +66,10 @@ for crate in "${first_party[@]}"; do
     fi
 done
 
-echo "== [3/9] clippy, deny warnings =="
+echo "== [3/8] clippy, deny warnings =="
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== [4/9] panic-site source lint (pag-runtime, pag-host) =="
+echo "== [4/8] panic-site source lint (pag-runtime, pag-host) =="
 # unwrap() carries no diagnostic; the gated crates use expect() with a
 # message (or structured errors) instead. expect() is allowed but
 # audited: the count may only go down without an explicit bump here.
@@ -90,21 +87,16 @@ if [ "$expects" -gt "$expect_baseline" ]; then
     exit 1
 fi
 
-echo "== [5/9] test suite =="
+echo "== [5/8] test suite =="
 cargo test -q --workspace
 
-echo "== [6/9] model checker: 5-node / 3-round exhaustive exploration (release) =="
+echo "== [6/8] model checker: 5-node / 3-round exhaustive exploration (release) =="
 cargo test --release -q -p pag-model --test exhaustive -- --ignored
 
-echo "== [7/9] worker-pool scheduler: 1000-node smoke (release) =="
+echo "== [7/8] worker-pool scheduler: 1000-node smoke (release) =="
 cargo test --release -q -p pag-runtime --test pool_scheduler -- --ignored
 
-echo "== [8/9] bench snapshot smoke (--quick) =="
-out="${TMPDIR:-/tmp}/pag_bench_quick.json"
-cargo run --release -p pag-bench --bin bench_snapshot -- "$out" --quick
-rm -f "$out"
-
-echo "== [9/9] repo benchmark smoke (--quick) =="
+echo "== [8/8] repo benchmark smoke (--quick) =="
 bench_out="$(mktemp -d "${TMPDIR:-/tmp}/pag_benchmark_quick.XXXXXX")"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$bench_out"
 rm -rf "$bench_out"
