@@ -13,7 +13,9 @@
 //! downstream gossip topology. The word-sized fast paths therefore
 //! mirror the multi-limb control flow draw for draw and only change the
 //! *arithmetic* (a word-sized Montgomery multiply instead of allocated
-//! `BigUint`s); the `fast_paths_preserve_rng_stream` test pins this.
+//! `BigUint`s), and the multi-limb march of [`gen_prime`] sieves all its
+//! candidates at once but hands Miller–Rabin the same survivors in the
+//! same order; the `fast_paths_preserve_rng_stream` test pins this.
 
 use rand::Rng;
 use std::sync::OnceLock;
@@ -264,18 +266,50 @@ pub fn gen_prime<R: Rng + ?Sized>(bits: usize, rng: &mut R) -> BigUint {
         cand.set_bit(bits - 1);
         cand.set_bit(bits - 2);
         cand.set_bit(0);
-        // March forward over odd numbers: amortizes the sieve per candidate.
+        // March forward over odd numbers. Multi-limb candidates exceed
+        // every sieve prime, so there the whole march is sieved up
+        // front and Miller–Rabin runs on the survivors, in order: the
+        // candidates and witness draws `is_probable_prime` would see.
+        let sieved = if bits > 64 { march_sieve(&cand) } else { 0 };
         let two = BigUint::from(2u64);
-        for _ in 0..64 {
+        for j in 0..MARCH {
             if cand.bit_len() != bits {
                 break; // stepped past the width; draw a fresh candidate
             }
-            if cand.is_probable_prime(DEFAULT_MILLER_RABIN_ROUNDS, rng) {
+            let prime = if bits > 64 {
+                sieved & (1 << j) == 0 && miller_rabin(&cand, DEFAULT_MILLER_RABIN_ROUNDS, rng)
+            } else {
+                cand.is_probable_prime(DEFAULT_MILLER_RABIN_ROUNDS, rng)
+            };
+            if prime {
                 return cand;
             }
             cand = &cand + &two;
         }
     }
+}
+
+/// Odd candidates [`gen_prime`] tries per random draw.
+const MARCH: u64 = 64;
+
+/// Bit `j` set iff `start + 2j` has an odd sieve prime factor, for
+/// `j < MARCH` and odd `start`. One remainder `r` per prime `p`:
+/// `start + 2j ≡ 0 (mod p)` first holds at `j = (p − r)/2` or
+/// `(2p − r)/2`, whichever numerator is even, then every `p` steps.
+fn march_sieve(start: &BigUint) -> u64 {
+    let mut hits = 0u64;
+    for &p in &small_primes()[1..] {
+        let mut j = match rem_u64(start, p) {
+            0 => 0,
+            r if r % 2 == 1 => (p - r) / 2,
+            r => (2 * p - r) / 2,
+        };
+        while j < MARCH {
+            hits |= 1 << j;
+            j += p;
+        }
+    }
+    hits
 }
 
 /// Generates a random probable prime strictly smaller than `bound`.
@@ -388,18 +422,41 @@ mod tests {
         // Identical primes AND identical RNG positions afterwards: the
         // optimized paths must consume exactly the draws the reference
         // consumed, or every seeded session topology downstream shifts.
-        for bits in [32usize, 48, 64, 128, 256] {
-            for seed in 0..4u64 {
-                let mut fast_rng = StdRng::seed_from_u64(seed * 31 + bits as u64);
-                let mut ref_rng = fast_rng.clone();
-                let fast = gen_prime(bits, &mut fast_rng);
-                let reference = reference_gen_prime(bits, &mut ref_rng);
-                assert_eq!(fast, reference, "prime diverged at bits={bits} seed={seed}");
-                assert_eq!(
-                    fast_rng.random::<u128>(),
-                    ref_rng.random::<u128>(),
-                    "RNG position diverged at bits={bits} seed={seed}"
-                );
+        // 65 bits is the first multi-limb width (the sieved march); one
+        // 512-bit seed covers the paper's round-key prime size.
+        let cases = [32usize, 48, 64, 65, 128, 256]
+            .into_iter()
+            .flat_map(|bits| (0..4u64).map(move |seed| (bits, seed)))
+            .chain([(512, 0)]);
+        for (bits, seed) in cases {
+            let mut fast_rng = StdRng::seed_from_u64(seed * 31 + bits as u64);
+            let mut ref_rng = fast_rng.clone();
+            let fast = gen_prime(bits, &mut fast_rng);
+            let reference = reference_gen_prime(bits, &mut ref_rng);
+            assert_eq!(fast, reference, "prime diverged at bits={bits} seed={seed}");
+            assert_eq!(
+                fast_rng.random::<u128>(),
+                ref_rng.random::<u128>(),
+                "RNG position diverged at bits={bits} seed={seed}"
+            );
+        }
+    }
+
+    #[test]
+    fn march_sieve_marks_exactly_the_sieve_hits() {
+        // Random odd starts: a marked offset is divisible by an odd
+        // sieve prime, an unmarked one by none.
+        let mut r = rng();
+        for bits in [65usize, 130, 256] {
+            for _ in 0..4 {
+                let mut start = random_bits(&mut r, bits);
+                start.set_bit(0);
+                let hits = march_sieve(&start);
+                for j in 0..MARCH {
+                    let cand = &start + &BigUint::from(2 * j);
+                    let divisible = small_primes()[1..].iter().any(|&p| rem_u64(&cand, p) == 0);
+                    assert_eq!(hits & (1 << j) != 0, divisible, "{bits} bits, offset {j}");
+                }
             }
         }
     }

@@ -737,6 +737,68 @@ mod tests {
         assert_eq!(hostile.len(), 1, "one wrong-forward finding: {hostile:?}");
     }
 
+    #[test]
+    fn frame_from_outside_the_roster_is_dropped_not_fatal() {
+        // `from` comes off the wire: an id with no key is a failed
+        // verification, not a missing-signer panic.
+        use crate::messages::MessageBody;
+        let mut e = engine_for(6, 2);
+        e.handle(Input::RoundStart(0));
+        let msg = SignedMessage {
+            body: MessageBody::KeyRequest { round: 0 },
+            sig: pag_crypto::Signature::from_bytes(vec![0; PagConfig::default().wire.signature]),
+        };
+        let effects = e.handle(Input::Deliver { from: NodeId(999), msg });
+        assert!(effects.is_empty(), "{effects:?}");
+    }
+
+    #[test]
+    fn evidence_naming_an_id_outside_the_roster_is_dropped_not_fatal() {
+        // A roster member's validly signed body may name any id as the
+        // signer of the evidence it carries; an unknown one fails
+        // verification and records nothing.
+        use crate::messages::{HashTriple, MessageBody};
+        let shared = SharedContext::new(PagConfig::default(), 12);
+        let s = NodeId(2);
+        let m = shared.membership.monitors_of(s, 0)[0];
+        let relay = shared.membership.monitors_of(s, 0)[1];
+        let stranger = NodeId(999);
+        let ack = HashTriple::identity(&shared.params);
+        let ack_sig = shared.sign(s, MessageBody::Ack { round: 0, hashes: ack.clone() }).sig;
+        let bodies = [
+            MessageBody::AckForward {
+                round: 0,
+                sender: s,
+                receiver: stranger,
+                ack: ack.clone(),
+                ack_sig: ack_sig.clone(),
+            },
+            MessageBody::MonitorBroadcast {
+                round: 0,
+                watched: stranger,
+                sender: s,
+                combined: ack.clone(),
+                ack: ack.clone(),
+                ack_sig: ack_sig.clone(),
+            },
+            MessageBody::Confirm {
+                round: 0,
+                accuser: s,
+                accused: stranger,
+                ack: ack.clone(),
+                ack_sig: ack_sig.clone(),
+            },
+        ];
+        for body in bodies {
+            let mut monitor = PagEngine::new(m, Arc::clone(&shared), SelfishStrategy::Honest, 0);
+            monitor.handle(Input::RoundStart(0));
+            let msg = shared.sign(relay, body.clone());
+            let effects = monitor.handle(Input::Deliver { from: relay, msg });
+            assert!(effects.is_empty(), "{body:?}: {effects:?}");
+            assert!(monitor.verdicts().is_empty(), "{body:?}");
+        }
+    }
+
     /// A six-member context with one registered joiner (node 100).
     fn shared_with_joiner() -> Arc<SharedContext> {
         let cfg = PagConfig {

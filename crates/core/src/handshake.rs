@@ -174,8 +174,8 @@ pub fn verify_proof(
     else {
         return Err(HandshakeError::WrongMessage);
     };
-    // Roster membership first: `SharedContext::signer` panics on
-    // unknown ids, and these bytes are untrusted.
+    // Roster membership first, so an unknown id is refused as such
+    // rather than as a bad signature.
     if !shared.knows(node) {
         return Err(HandshakeError::UnknownNode);
     }

@@ -97,16 +97,11 @@ pub struct MonitorEngine {
 pub(crate) type Effects = Vec<(NodeId, MessageBody)>;
 
 impl MonitorEngine {
-    /// Creates the engine for `me`, precomputing its watch list from the
-    /// session-start view (relationships start at round 0).
+    /// Creates the engine for `me`, taking its watch list from the
+    /// session-start view's cached round-0 topology (relationships start
+    /// at round 0).
     pub fn new(me: NodeId, shared: &SharedContext) -> Self {
-        let watched: Vec<NodeId> = shared
-            .membership
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&b| b != me && shared.membership.monitors_of(b, 0).contains(&me))
-            .collect();
+        let watched = shared.topology(0).watched_by(me).to_vec();
         let watch_started = watched.iter().map(|&b| (b, 0)).collect();
         MonitorEngine {
             me,
@@ -122,17 +117,13 @@ impl MonitorEngine {
     }
 
     /// Recomputes the watch list after a membership-epoch change taking
-    /// effect at `round`. Nodes newly assigned to this monitor start
-    /// with `watch_started = round` (their first evaluable serve round
-    /// is `round + 1`); nodes no longer assigned are retired together
-    /// with their monitoring state.
-    pub fn refresh_watch(&mut self, view: &Membership, round: u64) {
-        let new: Vec<NodeId> = view
-            .nodes()
-            .iter()
-            .copied()
-            .filter(|&b| b != self.me && view.monitors_of(b, round).contains(&self.me))
-            .collect();
+    /// effect at `round`, from `view`'s cached topology of that round.
+    /// Nodes newly assigned to this monitor start with `watch_started =
+    /// round` (their first evaluable serve round is `round + 1`); nodes
+    /// no longer assigned are retired together with their monitoring
+    /// state.
+    pub fn refresh_watch(&mut self, shared: &SharedContext, view: &Membership, round: u64) {
+        let new = shared.topology_for(view, round).watched_by(self.me).to_vec();
         let old: BTreeSet<NodeId> = self.watched.iter().copied().collect();
         let now: BTreeSet<NodeId> = new.iter().copied().collect();
         for &b in old.difference(&now) {
@@ -924,7 +915,7 @@ mod tests {
         for extra in 100..160u32 {
             view.join(NodeId(extra));
             effective += 1;
-            engine.refresh_watch(&view, effective);
+            engine.refresh_watch(&shared, &view, effective);
             if engine.watched().contains(&b) {
                 break;
             }
@@ -939,6 +930,58 @@ mod tests {
         assert!(
             engine.can_evaluate(b, effective + 1),
             "evaluation resumes one round later"
+        );
+    }
+
+    #[test]
+    fn refresh_watch_after_churn_matches_the_scan() {
+        // The O(N) scan the topology's watch lists replaced, and the
+        // watch-start bookkeeping it fed, as the reference.
+        fn scan(view: &Membership, me: NodeId, round: u64) -> Vec<NodeId> {
+            view.nodes()
+                .iter()
+                .copied()
+                .filter(|&b| b != me && view.monitors_of(b, round).contains(&me))
+                .collect()
+        }
+        let shared = shared();
+        let mut view = shared.membership.clone();
+        let ids: Vec<NodeId> = (0..12).chain(100..103).map(NodeId).collect();
+        let mut engines: Vec<MonitorEngine> =
+            ids.iter().map(|&id| MonitorEngine::new(id, &shared)).collect();
+        let mut reference: Vec<(Vec<NodeId>, Map<NodeId, u64>)> = ids
+            .iter()
+            .map(|&id| {
+                let watched = scan(&view, id, 0);
+                let started = watched.iter().map(|&b| (b, 0)).collect();
+                (watched, started)
+            })
+            .collect();
+        let churn: [(u64, &[u32], &[u32]); 4] =
+            [(1, &[100, 101], &[]), (2, &[], &[3]), (3, &[102], &[5, 100]), (4, &[3], &[])];
+        for (round, joins, leaves) in churn {
+            for &j in joins {
+                view.join(NodeId(j));
+            }
+            for &l in leaves {
+                view.leave(NodeId(l)).expect("non-source leave");
+            }
+            for (i, &id) in ids.iter().enumerate() {
+                engines[i].refresh_watch(&shared, &view, round);
+                let (watched, started) = &mut reference[i];
+                let now = scan(&view, id, round);
+                started.retain(|b, _| now.contains(b));
+                for &b in &now {
+                    started.entry(b).or_insert(round);
+                }
+                *watched = now;
+                assert_eq!(engines[i].watched(), watched.as_slice(), "{id} at round {round}");
+                assert_eq!(&engines[i].watch_started, started, "{id} at round {round}");
+            }
+        }
+        assert!(
+            reference.iter().any(|(_, s)| s.values().any(|&r| r > 0)),
+            "churn reassigned some watch"
         );
     }
 

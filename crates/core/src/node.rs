@@ -431,7 +431,7 @@ impl PagNode {
             }
         }
         if changed {
-            self.monitor.refresh_watch(&self.view, round);
+            self.monitor.refresh_watch(&self.shared, &self.view, round);
         }
     }
 

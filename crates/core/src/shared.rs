@@ -187,9 +187,10 @@ impl SharedContext {
     }
 
     /// Whether `node` belongs to this session's key roster. Code
-    /// verifying claims from *untrusted* connections (the handshake
-    /// path) must check this before [`SharedContext::signer`], which
-    /// panics on unknown ids.
+    /// handling ids that arrive off the wire must check this before
+    /// [`SharedContext::signer`], which panics on unknown ids;
+    /// [`SharedContext::verify`] and [`SharedContext::verify_evidence`]
+    /// do.
     pub fn knows(&self, node: NodeId) -> bool {
         self.signers.contains_key(&node)
     }
@@ -201,20 +202,21 @@ impl SharedContext {
     }
 
     /// Verifies `msg` as emitted by `node` (honors
-    /// `config.verify_signatures`).
+    /// `config.verify_signatures`). A `node` outside the key roster
+    /// never verifies.
     pub fn verify(&self, node: NodeId, msg: &SignedMessage) -> bool {
-        if !self.config.verify_signatures {
-            return true;
-        }
-        self.signer(node).verify(&msg.body.signable_bytes(), &msg.sig)
+        self.verify_evidence(node, &msg.body.signable_bytes(), &msg.sig)
     }
 
-    /// Verifies detached evidence bytes signed by `node`.
+    /// Verifies detached evidence bytes signed by `node` (honors
+    /// `config.verify_signatures`). A `node` outside the key roster
+    /// never verifies.
     pub fn verify_evidence(&self, node: NodeId, bytes: &[u8], sig: &Signature) -> bool {
-        if !self.config.verify_signatures {
-            return true;
+        match self.signers.get(&node) {
+            None => false,
+            Some(_) if !self.config.verify_signatures => true,
+            Some(signer) => signer.verify(bytes, sig),
         }
-        self.signer(node).verify(bytes, sig)
     }
 
     /// The cached topology of `round` under the epoch-0 (session-start)
@@ -235,10 +237,15 @@ impl SharedContext {
         }
         let topo = Arc::new(view.topology(round));
         cache.insert(key, Arc::clone(&topo));
-        // Bound the cache: entries for sets and rounds the session has
-        // moved past are never queried again.
-        while cache.len() > 8 {
-            let oldest = *cache.keys().next().expect("non-empty cache");
+        // Bound the cache: entries for rounds the session has moved past
+        // are never queried again, so evict by lowest round — never the
+        // entry just built.
+        if cache.len() > 8 {
+            let oldest = *cache
+                .keys()
+                .filter(|&&k| k != key)
+                .min_by_key(|&&(fingerprint, round)| (round, fingerprint))
+                .expect("other entries");
             cache.remove(&oldest);
         }
         topo
@@ -314,6 +321,40 @@ mod tests {
             let t = ctx.topology(round);
             assert_eq!(t.round(), round);
         }
+    }
+
+    #[test]
+    fn topology_cache_evicts_the_oldest_round_not_the_newest_view() {
+        // Churn can move the current view to a fingerprint that sorts
+        // before every cached one; its entry must survive its own insert.
+        let ctx = ctx();
+        let mut views: Vec<Membership> = (100..103)
+            .map(|id| {
+                let mut v = ctx.membership.clone();
+                v.join(NodeId(id));
+                v
+            })
+            .chain([ctx.membership.clone()])
+            .collect();
+        views.sort_by_key(Membership::fingerprint);
+        let (newest, older) = (&views[0], &views[views.len() - 1]);
+        for round in 0..8 {
+            ctx.topology_for(older, round);
+        }
+        let built = ctx.topology_for(newest, 8);
+        assert!(Arc::ptr_eq(&built, &ctx.topology_for(newest, 8)), "newest entry kept");
+        let cache = ctx.topologies.lock().expect("topology cache lock");
+        assert_eq!(cache.len(), 8);
+        assert!(!cache.contains_key(&(older.fingerprint(), 0)), "oldest round evicted");
+    }
+
+    #[test]
+    fn unknown_signer_fails_verification() {
+        let ctx = ctx();
+        let msg = ctx.sign(NodeId(3), MessageBody::KeyRequest { round: 0 });
+        assert!(!ctx.knows(NodeId(999)));
+        assert!(!ctx.verify(NodeId(999), &msg));
+        assert!(!ctx.verify_evidence(NodeId(999), &msg.body.signable_bytes(), &msg.sig));
     }
 
     #[test]

@@ -1,12 +1,12 @@
-//! Materialized per-round topology: successor and predecessor lists for
-//! every node, computed in one O(N·f) pass.
+//! Materialized per-round topology: successor, predecessor and watch
+//! lists for every node, computed in one O(N·f) pass.
 
 use std::collections::HashMap;
 
 use crate::id::NodeId;
 use crate::membership::Membership;
 
-/// The dissemination graph of a single round.
+/// The dissemination and monitoring graphs of a single round.
 ///
 /// Built by [`Membership::topology`]; prefer it over per-node
 /// [`Membership::predecessors`] calls when the whole round is needed
@@ -17,6 +17,9 @@ pub struct RoundTopology {
     epoch: u64,
     successors: HashMap<NodeId, Vec<NodeId>>,
     predecessors: HashMap<NodeId, Vec<NodeId>>,
+    /// Inverse of [`Membership::monitors_of`]: monitor -> the members
+    /// it watches, in sorted order.
+    watched_by: HashMap<NodeId, Vec<NodeId>>,
 }
 
 impl RoundTopology {
@@ -25,21 +28,28 @@ impl RoundTopology {
         let mut successors = HashMap::with_capacity(membership.len());
         let mut predecessors: HashMap<NodeId, Vec<NodeId>> =
             HashMap::with_capacity(membership.len());
+        let mut watched_by: HashMap<NodeId, Vec<NodeId>> = HashMap::with_capacity(membership.len());
         for &node in membership.nodes() {
             predecessors.entry(node).or_default();
         }
+        // Nodes are visited in sorted order, so every list built by
+        // pushing comes out sorted.
         for &node in membership.nodes() {
             let succ = membership.successors(node, round);
             for &s in &succ {
                 predecessors.entry(s).or_default().push(node);
             }
             successors.insert(node, succ);
+            for m in membership.monitors_of(node, round) {
+                watched_by.entry(m).or_default().push(node);
+            }
         }
         RoundTopology {
             round,
             epoch: membership.epoch(),
             successors,
             predecessors,
+            watched_by,
         }
     }
 
@@ -61,6 +71,13 @@ impl RoundTopology {
     /// Predecessor list of `node` (empty slice for unknown nodes).
     pub fn predecessors(&self, node: NodeId) -> &[NodeId] {
         self.predecessors.get(&node).map_or(&[], Vec::as_slice)
+    }
+
+    /// The members `monitor` watches this round — every `b` with
+    /// `monitor` in `monitors_of(b, round)` — in sorted order (empty
+    /// slice for unknown nodes and for nodes that watch nobody).
+    pub fn watched_by(&self, monitor: NodeId) -> &[NodeId] {
+        self.watched_by.get(&monitor).map_or(&[], Vec::as_slice)
     }
 
     /// Iterates over `(node, successors)` pairs in unspecified order.

@@ -133,4 +133,45 @@ proptest! {
             }
         }
     }
+
+    /// `RoundTopology::watched_by` is the per-monitor scan it replaced —
+    /// every member `b` with `monitor` in `monitors_of(b, round)`, in
+    /// sorted order — at session start, after each join or leave, with
+    /// stable and with rotating monitor epochs.
+    #[test]
+    fn watched_by_equals_the_monitors_of_scan(
+        session in any::<u64>(),
+        n in 2usize..40,
+        fanout in 1usize..5,
+        epoch_rounds in 0u64..6, // 0: stable monitor sets
+        ops in proptest::collection::vec((any::<bool>(), 0u32..60), 0..12),
+        round in 0u64..30,
+    ) {
+        let mut m = Membership::with_uniform_nodes(session, n, fanout, fanout);
+        if epoch_rounds > 0 {
+            m = m.with_monitor_epoch(epoch_rounds);
+        }
+        let check = |m: &Membership| {
+            let topo = m.topology(round);
+            for &monitor in m.nodes().iter().chain(&[NodeId(999)]) {
+                let scan: Vec<NodeId> = m
+                    .nodes()
+                    .iter()
+                    .copied()
+                    .filter(|&b| b != monitor && m.monitors_of(b, round).contains(&monitor))
+                    .collect();
+                prop_assert_eq!(topo.watched_by(monitor), scan.as_slice(), "monitor {}", monitor);
+            }
+        };
+        check(&m);
+        for (is_join, id) in ops {
+            let id = NodeId(id);
+            if is_join {
+                m.join(id);
+            } else if id != m.source() {
+                m.leave(id).expect("non-source leave");
+            }
+            check(&m);
+        }
+    }
 }

@@ -41,7 +41,8 @@
 //! [`pag_core::engine::MetricEvent::HandshakeRejected`], and severed),
 //! while any other late connection remains an untrusted byte source
 //! whose frames travel the same framer → `decode_frame` → deliver path
-//! — and fail it safely. Malformed or truncated input is
+//! — and fail it safely. Malformed or truncated input, and frames
+//! misrouted or sent in the name of an id outside the key roster, are
 //! dropped and counted
 //! ([`pag_core::engine::MetricEvent::FrameRejected`]); an oversized
 //! length prefix kills the connection (stream sync is lost) after
@@ -737,31 +738,32 @@ impl Drop for TcpLink {
 
 /// The rejected-frame budget of one untrusted connection: the reader
 /// pre-decodes each well-framed frame and, once `limit` of them have
-/// proven undecodable or misrouted, cuts the connection instead of
-/// letting the flood buy a rejection per frame forever.
+/// proven undecodable, misrouted or sent in the name of an id outside
+/// the key roster, cuts the connection instead of letting the flood buy
+/// a rejection per frame forever.
 struct RejectScreen {
     owner: NodeId,
-    wire: WireConfig,
+    shared: Arc<SharedContext>,
     limit: u32,
     rejected: u32,
 }
 
 /// One screened frame's verdict.
 enum Screened {
-    /// Decodes and is addressed to the owner: deliver normally.
+    /// Decodes, comes from a roster id and is addressed to the owner:
+    /// deliver normally.
     Clean,
-    /// Undecodable or misrouted, budget not yet spent: count it (as a
-    /// pre-decoded rejection — the worker must not decode it again).
+    /// Bad, budget not yet spent: count it (as a pre-decoded rejection
+    /// — the worker must not decode it again).
     Bad,
-    /// Undecodable or misrouted and the budget is spent: sever the
-    /// connection.
+    /// Bad and the budget is spent: sever the connection.
     Flood,
 }
 
 impl RejectScreen {
     fn screen(&mut self, frame: &[u8]) -> Screened {
-        let bad = match decode_frame(frame, &self.wire) {
-            Ok(parsed) => parsed.to != self.owner,
+        let bad = match decode_frame(frame, &self.shared.config.wire) {
+            Ok(parsed) => parsed.to != self.owner || !self.shared.knows(parsed.from),
             Err(_) => true,
         };
         if !bad {
@@ -875,9 +877,8 @@ fn read_loop(
                 return;
             }
             Screened::Bad => {
-                // Already proven undecodable/misrouted: count the
-                // rejection without making the worker decode the bytes
-                // a second time.
+                // Already proven bad: count the rejection without
+                // making the worker decode the bytes a second time.
                 if !forward(Envelope::Malformed) {
                     return;
                 }
@@ -1029,7 +1030,6 @@ pub fn run_tcp(
         let stop = Arc::clone(&stop_accepting);
         let max = cfg.max_frame_bytes;
         let limit = cfg.reject_limit;
-        let wire = shared.config.wire.clone();
         let auth_shared = Arc::clone(shared);
         let auth_nonces = Arc::clone(&hs_nonces);
         let auth_seed = cfg.seed;
@@ -1046,7 +1046,7 @@ pub fn run_tcp(
                 let queues = Arc::clone(&queues);
                 let screen = RejectScreen {
                     owner,
-                    wire: wire.clone(),
+                    shared: Arc::clone(&auth_shared),
                     limit,
                     rejected: 0,
                 };

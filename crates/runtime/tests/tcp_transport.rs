@@ -304,6 +304,33 @@ fn former_container_from_a_socket_is_one_rejection() {
     }
 }
 
+/// A well-formed frame, correctly addressed, in the name of an id that
+/// holds no key in the session: the late connection's screen counts it
+/// as one rejection and nothing reaches the engine, whose signer lookup
+/// used to panic the pool worker on such an id.
+#[test]
+fn frame_from_outside_the_roster_is_one_rejection() {
+    let tcp = lockstep_under_attack(8, 5, 17, |id, conn| {
+        let wire = WireConfig::default();
+        let frame = encode_frame(
+            NodeId(u32::MAX),
+            id,
+            &SignedMessage {
+                body: MessageBody::KeyRequest { round: 0 },
+                sig: Signature::from_bytes(vec![0xAB; wire.signature]),
+            },
+            &wire,
+        )
+        .expect("test frame encodes");
+        conn.write_all(&encode_stream_frame(&frame, MAX_STREAM_FRAME_BYTES).unwrap())
+            .expect("inject stranger's frame");
+    });
+    for (id, m) in &tcp.metrics {
+        assert_eq!(m.frames_rejected, 1, "node {id}: one stranger's frame, one rejection");
+        assert_eq!(m.connections_dropped, 0, "node {id}");
+    }
+}
+
 /// Socket-hardening satellite (ROADMAP): a connection that floods a
 /// node with rejected frames is **rate-limited** — after
 /// `reject_limit` undecodable frames the connection is severed and the

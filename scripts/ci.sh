@@ -37,17 +37,33 @@
 #      pipeline (reports go to a scratch directory)
 #
 # Steps 6–7 run only what step 5 cannot (`--release`, `--ignored`);
-# nothing is run twice. The gate's total wall time is printed at the
-# end — CI time is part of measured performance.
+# nothing is run twice. The gate's total wall time and each step's
+# elapsed seconds are printed at the end — CI time is part of measured
+# performance.
 #
 # Run from anywhere: ./scripts/ci.sh
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "== [1/8] workspace release build =="
+# `step N title` closes the running step's timer and opens step N's;
+# a bare `step` closes the last one.
+step_times=()
+step_no=""
+step() {
+    if [ -n "$step_no" ]; then
+        step_times+=("[$step_no] $((SECONDS - step_start))s")
+    fi
+    step_no=${1:-}
+    step_start=$SECONDS
+    if [ -n "$step_no" ]; then
+        echo "== [$1/8] $2 =="
+    fi
+}
+
+step 1 "workspace release build"
 cargo build --release --workspace
 
-echo "== [2/8] per-crate builds, deny warnings =="
+step 2 "per-crate builds, deny warnings"
 # Force only the gated crates themselves to recompile (their
 # dependencies stay cached from step 1 — no RUSTFLAGS flip, no double
 # build) and fail on any warning the fresh compiles print.
@@ -66,10 +82,10 @@ for crate in "${first_party[@]}"; do
     fi
 done
 
-echo "== [3/8] clippy, deny warnings =="
+step 3 "clippy, deny warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-echo "== [4/8] panic-site source lint (pag-runtime, pag-host) =="
+step 4 "panic-site source lint (pag-runtime, pag-host)"
 # unwrap() carries no diagnostic; the gated crates use expect() with a
 # message (or structured errors) instead. expect() is allowed but
 # audited: the count may only go down without an explicit bump here.
@@ -87,18 +103,19 @@ if [ "$expects" -gt "$expect_baseline" ]; then
     exit 1
 fi
 
-echo "== [5/8] test suite =="
+step 5 "test suite"
 cargo test -q --workspace
 
-echo "== [6/8] model checker: 5-node / 3-round exhaustive exploration (release) =="
+step 6 "model checker: 5-node / 3-round exhaustive exploration (release)"
 cargo test --release -q -p pag-model --test exhaustive -- --ignored
 
-echo "== [7/8] worker-pool scheduler: 1000-node smoke (release) =="
+step 7 "worker-pool scheduler: 1000-node smoke (release)"
 cargo test --release -q -p pag-runtime --test pool_scheduler -- --ignored
 
-echo "== [8/8] repo benchmark smoke (--quick) =="
+step 8 "repo benchmark smoke (--quick)"
 bench_out="$(mktemp -d "${TMPDIR:-/tmp}/pag_benchmark_quick.XXXXXX")"
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --quick --out "$bench_out"
 rm -rf "$bench_out"
 
-echo "CI OK in ${SECONDS}s"
+step
+echo "CI OK in ${SECONDS}s (${step_times[*]})"
