@@ -38,7 +38,7 @@ fn main() {
             format!("{:.0}", outcome.signatures_per_node_per_second()),
         ]);
     }
-    println!("\nSee `cargo bench -p pag-bench` for the per-hash cost (the paper: 4800");
-    println!("hashes/s/core at a 512-bit modulus), which together with this table gives");
-    println!("the sustainable-quality claim of §VII-C.");
+    println!("\nSee the repo benchmark's `crypto.hash_us` (`--trace 1`) for the per-hash");
+    println!("cost (the paper: 4800 hashes/s/core at a 512-bit modulus), which together");
+    println!("with this table gives the sustainable-quality claim of §VII-C.");
 }

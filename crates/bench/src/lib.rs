@@ -17,6 +17,8 @@
 //! Each accepts an optional `--quick` argument that shrinks the workload
 //! (fewer nodes/rounds/trials) for smoke-testing.
 
+#![forbid(unsafe_code)]
+
 use pag_core::config::CryptoProfile;
 use pag_membership::NodeId;
 use pag_runtime::{ChurnSchedule, Driver, FaultEvent, FaultSchedule, SessionConfig, TcpConfig};
@@ -26,12 +28,10 @@ pub fn quick_mode() -> bool {
     std::env::args().any(|a| a == "--quick")
 }
 
-/// The frozen real-crypto scenario shared by the op-count pins in
-/// `tests/protocol_pins.rs` and the `protocol_round` criterion bench:
-/// real RSA-512 signatures and a paper-sized 512-bit homomorphic
-/// modulus, so the measured cost is dominated by the crypto hot path.
-/// Keep both consumers on this one definition — the pinned counts
-/// assume the scenario never drifts.
+/// The frozen real-crypto scenario of the op-count pins in
+/// `tests/protocol_pins.rs`: real RSA-512 signatures and a paper-sized
+/// 512-bit homomorphic modulus, so the cost is dominated by the crypto
+/// hot path. The pinned counts assume the scenario never drifts.
 pub fn real_crypto_session(nodes: usize, rounds: u64) -> SessionConfig {
     let mut sc = SessionConfig::honest(nodes, rounds);
     sc.pag.stream_rate_kbps = 30.0;

@@ -49,7 +49,7 @@ mod random;
 mod uint;
 
 pub use error::ParseBigUintError;
-pub use montgomery::{MontAccumulator, Montgomery};
+pub use montgomery::{FixedBaseTable, MontAccumulator, Montgomery};
 pub use prime::{gen_prime, gen_prime_below, DEFAULT_MILLER_RABIN_ROUNDS};
 pub use random::{random_below, random_bits, random_range};
 pub use uint::BigUint;

@@ -55,6 +55,35 @@ fn window_bits(exp_bits: usize) -> usize {
     }
 }
 
+/// Digit width of [`Montgomery::fixed_base_table`] for exponents of
+/// `b = exp_bits` bits: the width `w` minimising the `b/w + 2^w − 2`
+/// multiplications a [`Montgomery::pow_fixed`] may take plus the `b/w`
+/// rows the table holds. A table lives as long as its base is stored
+/// and serves many exponents, so a row is weighed like one
+/// multiplication per power. At most 4 for a word-sized exponent.
+const fn fixed_base_window(exp_bits: usize) -> usize {
+    match exp_bits {
+        0..=1 => 1,
+        2..=11 => 2,
+        12..=47 => 3,
+        _ => 4,
+    }
+}
+
+/// The powers `base^(2^(w·i))`, `i < ⌈exp_bits / w⌉`, of one base in
+/// Montgomery form: everything [`Montgomery::pow_fixed`] needs to raise
+/// that base to any exponent of up to `exp_bits` bits without squaring.
+///
+/// Built once per base by [`Montgomery::fixed_base_table`]; holds
+/// `⌈exp_bits / w⌉` values of the modulus' width.
+#[derive(Debug)]
+pub struct FixedBaseTable {
+    /// Widest exponent covered, in bits (at most 64); fixes `w`.
+    exp_bits: usize,
+    /// Row `i` is `base^(2^(w·i)) · R mod n`, one row per `k` limbs.
+    rows: Box<[u64]>,
+}
+
 impl Montgomery {
     /// Builds a context for an odd modulus greater than one.
     ///
@@ -358,6 +387,126 @@ impl Montgomery {
             }
         }
         acc
+    }
+
+    /// Power table of `base` for [`Self::pow_fixed`], covering exponents
+    /// of up to `exp_bits` bits: one conversion and `w` squarings per row
+    /// after the first, about `exp_bits` squarings in all — the cost of
+    /// one [`Self::pow`], paid once per base instead of once per
+    /// exponent.
+    ///
+    /// `base` need not be reduced. Returns `None` unless
+    /// `1 <= exp_bits <= 64`: the product reads its digits off a machine
+    /// word, so wider exponents take [`Self::pow`].
+    pub fn fixed_base_table(&self, base: &BigUint, exp_bits: usize) -> Option<FixedBaseTable> {
+        if !(1..=64).contains(&exp_bits) {
+            return None;
+        }
+        let k = self.k;
+        let w = fixed_base_window(exp_bits);
+        let rows_len = exp_bits.div_ceil(w);
+        let mut rows = vec![0u64; rows_len * k];
+        let mut t = vec![0u64; k + 2];
+        let mut tmp = vec![0u64; k];
+        let base_p = pad_to(&(base % &self.n), k);
+        self.mont_mul_slices(&base_p, &self.r2, &mut rows[..k], &mut t);
+        for i in 1..rows_len {
+            let (prev, cur) = rows.split_at_mut(i * k);
+            let cur = &mut cur[..k];
+            cur.copy_from_slice(&prev[(i - 1) * k..]);
+            for _ in 0..w {
+                self.mont_mul_slices(cur, cur, &mut tmp, &mut t);
+                cur.copy_from_slice(&tmp);
+            }
+        }
+        Some(FixedBaseTable {
+            exp_bits,
+            rows: rows.into_boxed_slice(),
+        })
+    }
+
+    /// `base^exp mod n` from `base`'s [`FixedBaseTable`] by the
+    /// Brickell–Gordon–McCurley–Wilson method ("Fast Exponentiation with
+    /// Precomputation", EUROCRYPT '92).
+    ///
+    /// With `exp = Σ d_i·2^(w·i)` and rows `g_i = base^(2^(w·i))`, the
+    /// running product `run_d = Π_{d_i >= d} g_i` taken for `d` from
+    /// `2^w − 1` down to 1 multiplies out to `Π_d run_d = Π g_i^(d_i)`:
+    /// at most `⌈exp_bits / w⌉ + 2^w − 2` multiplications and no
+    /// squarings. The result equals [`Self::pow`]'s.
+    ///
+    /// Returns `None` when `exp` is wider than the table covers.
+    pub fn pow_fixed(&self, table: &FixedBaseTable, exp: &BigUint) -> Option<BigUint> {
+        let e = exp.to_u64()?;
+        if (u64::BITS - e.leading_zeros()) as usize > table.exp_bits {
+            return None;
+        }
+        debug_assert_eq!(table.rows.len() % self.k, 0, "table of another width");
+        Some(match self.k {
+            2 => self.fixed_base_product(table, e, [0u64; 2]),
+            4 => self.fixed_base_product(table, e, [0u64; 4]),
+            8 => self.fixed_base_product(table, e, [0u64; 8]),
+            k => self.fixed_base_product(table, e, vec![0u64; k]),
+        })
+    }
+
+    /// The product of [`Self::pow_fixed`] over `k`-limb buffers cloned
+    /// from `zero`: stack arrays for the fixed kernels' widths, vectors
+    /// for the generic loop.
+    fn fixed_base_product<B>(&self, table: &FixedBaseTable, e: u64, zero: B) -> BigUint
+    where
+        B: Clone + AsRef<[u64]> + AsMut<[u64]>,
+    {
+        let k = self.k;
+        let w = fixed_base_window(table.exp_bits);
+        let mask = (1u64 << w) - 1;
+        // The fixed kernels keep their carries in registers; only the
+        // generic loop needs scratch.
+        let mut t = match k {
+            2 | 4 | 8 => Vec::new(),
+            _ => vec![0u64; k + 2],
+        };
+        // Bit i of `by_digit[d]` marks the rows whose digit is d.
+        let mut by_digit = [0u64; 1 << fixed_base_window(64)];
+        for i in 0..table.rows.len() / k {
+            by_digit[((e >> (w * i)) & mask) as usize] |= 1 << i;
+        }
+        let (mut acc, mut run, mut tmp) = (zero.clone(), zero.clone(), zero);
+        let (mut acc_set, mut run_set) = (false, false);
+        for d in (1..=mask as usize).rev() {
+            let mut rows = by_digit[d];
+            while rows != 0 {
+                let row = &table.rows[rows.trailing_zeros() as usize * k..][..k];
+                rows &= rows - 1;
+                if run_set {
+                    self.mont_mul_slices(run.as_ref(), row, tmp.as_mut(), &mut t);
+                    std::mem::swap(&mut run, &mut tmp);
+                } else {
+                    run.as_mut().copy_from_slice(row);
+                    run_set = true;
+                }
+            }
+            if !run_set {
+                continue;
+            }
+            if acc_set {
+                self.mont_mul_slices(acc.as_ref(), run.as_ref(), tmp.as_mut(), &mut t);
+                std::mem::swap(&mut acc, &mut tmp);
+            } else {
+                acc.as_mut().copy_from_slice(run.as_ref());
+                acc_set = true;
+            }
+        }
+        if !acc_set {
+            return BigUint::one(); // e = 0, and n > 1
+        }
+        // Out of Montgomery form: multiply by raw 1.
+        let one_raw = tmp.as_mut();
+        one_raw.fill(0);
+        one_raw[0] = 1;
+        let mut out = vec![0u64; k];
+        self.mont_mul_slices(acc.as_ref(), tmp.as_ref(), &mut out, &mut t);
+        BigUint::from_limbs(out)
     }
 
     /// Converts a Montgomery-form buffer out of the domain (multiply by

@@ -344,6 +344,59 @@ proptest! {
     }
 }
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(6))]
+
+    /// The fixed-base power against `Montgomery::pow` at the fixed
+    /// kernels' widths (2, 4, 8 limbs) and generic ones (1, 3): bases 0,
+    /// 1, `M − 1`, an unreduced one and a random reduced one; tables on
+    /// both sides of every digit-width boundary and at the word; every
+    /// exponent width up to the table's, 0 and 1 included. Exponents one
+    /// bit wider than the table, or wider than a word, are not covered,
+    /// and no table is built for a width of 0 or past a word.
+    #[test]
+    fn fixed_base_power_matches_pow_at_every_exponent_width(
+        words in proptest::collection::vec(any::<u64>(), 8..9),
+        random_base in wide_operand(),
+        e in any::<u64>(),
+        table_bits in 1usize..=64,
+    ) {
+        let one = BigUint::one();
+        for limbs in [1usize, 2, 3, 4, 8] {
+            let m = modulus_of_width(&words, limbs);
+            let ctx = Montgomery::new(&m).unwrap();
+            let bases = [BigUint::zero(), one.clone(), &m - &one, &m + &one, &random_base % &m];
+            for width in [0, 65] {
+                prop_assert!(ctx.fixed_base_table(&random_base, width).is_none());
+            }
+            for base in &bases {
+                for width in [1usize, 2, 11, 12, 47, 48, 64, table_bits] {
+                    let table = ctx.fixed_base_table(base, width).expect("word-sized");
+                    for bits in 0..=width {
+                        // The top `bits` bits of `e`, top bit forced.
+                        let exp = match bits {
+                            0 => 0,
+                            _ => e >> (64 - bits) | 1 << (bits - 1),
+                        };
+                        let exp = BigUint::from(exp);
+                        prop_assert_eq!(
+                            ctx.pow_fixed(&table, &exp),
+                            Some(ctx.pow(base, &exp)),
+                            "{} limbs, table {}, exponent {} bits", limbs, width, bits
+                        );
+                    }
+                    if width < 64 {
+                        let wider = BigUint::from(1u64 << width);
+                        prop_assert_eq!(ctx.pow_fixed(&table, &wider), None);
+                    }
+                    let past_word = BigUint::one().shl_bits(64);
+                    prop_assert_eq!(ctx.pow_fixed(&table, &past_word), None);
+                }
+            }
+        }
+    }
+}
+
 /// Edge cases the window scanner must not mishandle.
 #[test]
 fn windowed_pow_edge_cases() {

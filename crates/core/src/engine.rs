@@ -875,4 +875,58 @@ mod tests {
         engine.handle(Input::RoundStart(1));
         assert!(engine.view().contains(source));
     }
+
+    #[test]
+    fn gc_drops_power_tables_once_updates_leave_the_buffermap_window() {
+        // Six engines past the window, each round's mail drained FIFO
+        // (no timers: the exchanges alone spread the updates): updates
+        // first received before the window hold no table, the window's
+        // do, and every stored residue still hashes to `hash_residue`'s
+        // value — under a fresh prime and under a wire-width one.
+        let cfg = PagConfig {
+            stream_rate_kbps: 16.0,
+            ..PagConfig::default()
+        };
+        let shared = SharedContext::new(cfg, 6);
+        let window = shared.config.buffermap_window;
+        let mut engines: Vec<PagEngine> = (0..6)
+            .map(|id| PagEngine::new(NodeId(id), Arc::clone(&shared), SelfishStrategy::Honest, 0))
+            .collect();
+        let last = window + 3;
+        for round in 0..=last {
+            let mut mail = std::collections::VecDeque::new();
+            for e in engines.iter_mut() {
+                let (from, effects) = (e.id(), e.handle(Input::RoundStart(round)));
+                mail.extend(effects.into_iter().map(|fx| (from, fx)));
+            }
+            while let Some((from, fx)) = mail.pop_front() {
+                if let Effect::Send { to, msg, .. } = fx {
+                    let replies = engines[to.value() as usize].handle(Input::Deliver { from, msg });
+                    mail.extend(replies.into_iter().map(|fx| (to, fx)));
+                }
+            }
+        }
+
+        let params = &shared.params;
+        let mut rng = rand::rngs::StdRng::seed_from_u64(9);
+        let fresh = pag_bignum::gen_prime(shared.config.crypto.prime_bits, &mut rng);
+        let wide = pag_bignum::gen_prime(512, &mut rng);
+        let (mut released, mut held) = (0, 0);
+        for e in &engines {
+            for u in e.store().iter() {
+                let in_window = u.first_received_round + window >= last;
+                assert_eq!(u.residue.has_table(), in_window, "{} at {}", u.id, e.id());
+                if in_window {
+                    held += 1;
+                } else {
+                    released += 1;
+                }
+                for p in [&fresh, &wide] {
+                    let expected = params.hash_residue(u.residue.value(), p);
+                    assert_eq!(u.residue.hash(params, p), expected);
+                }
+            }
+        }
+        assert!(released > 0 && held > 0, "both sides: {released} / {held}");
+    }
 }

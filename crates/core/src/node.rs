@@ -19,7 +19,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap};
 use std::sync::Arc;
 
 use pag_bignum::{gen_prime, BigUint, MontAccumulator};
-use pag_crypto::{HomomorphicParams, Signature};
+use pag_crypto::{HomomorphicParams, Signature, StoredResidue};
 use pag_membership::{LeaveError, Membership, NodeId};
 
 use crate::engine::{EngineCtx, MetricEvent};
@@ -104,7 +104,7 @@ struct SaItem {
     id: UpdateId,
     count: u32,
     created_round: u64,
-    residue: Arc<BigUint>,
+    residue: StoredResidue,
     payload: Arc<[u8]>,
 }
 
@@ -570,7 +570,7 @@ impl PagNode {
         if self.is_source() {
             let injected = self.inject_updates(round, ctx);
             let fresh_prod = self
-                .multiset_product(injected.iter().map(|item| (&*item.residue, item.count)));
+                .multiset_product(injected.iter().map(|item| (item.residue.value(), item.count)));
             sa.extend(injected);
             let (k_prev, _) = self.k_prev_for_serve(round);
             let one = self.shared.params.identity().value();
@@ -612,7 +612,7 @@ impl PagNode {
                         id,
                         count,
                         created_round: u.created_round,
-                        residue: Arc::clone(&u.residue),
+                        residue: u.residue.clone(),
                         payload: Arc::clone(&u.payload),
                     });
                 }
@@ -624,17 +624,19 @@ impl PagNode {
     fn inject_updates(&mut self, round: u64, ctx: &mut EngineCtx<'_>) -> Vec<SaItem> {
         let n = self.shared.config.updates_per_round();
         let session = self.shared.config.session_id;
+        let params = &self.shared.params;
+        let prime_bits = self.shared.config.crypto.prime_bits;
         let mut items = Vec::with_capacity(n);
         for _ in 0..n {
             let id = UpdateId(self.next_seq);
             self.next_seq += 1;
             let payload: Arc<[u8]> = synthetic_payload(session, id).into();
-            let residue = Arc::new(self.shared.params.residue(&payload));
+            let residue = params.stored_residue(params.residue(&payload), prime_bits);
             self.store.insert(StoredUpdate {
                 id,
                 created_round: round,
                 payload: Arc::clone(&payload),
-                residue: Arc::clone(&residue),
+                residue: residue.clone(),
                 first_received_round: round,
             });
             self.creations.insert(id, round);
@@ -655,6 +657,7 @@ impl PagNode {
     fn gc(&mut self, round: u64) {
         let cfg = &self.shared.config;
         self.store.prune_expired(round, cfg.expiration_rounds, cfg.buffermap_window + 2);
+        self.store.release_tables(round.saturating_sub(cfg.buffermap_window));
         let keep = round.saturating_sub(3);
         self.recv_keys.retain(|&r, _| r >= keep);
         self.received_fresh.retain(|&r, _| r >= keep);
@@ -709,13 +712,7 @@ impl PagNode {
             let from_round = round.saturating_sub(self.shared.config.buffermap_window);
             for u in self.store.received_in_window(from_round, round - 1) {
                 ids.push(u.id);
-                hashes.push(
-                    self.shared
-                        .params
-                        .hash_residue(&u.residue, &prime)
-                        .value()
-                        .clone(),
-                );
+                hashes.push(u.residue.hash(&self.shared.params, &prime).value().clone());
             }
             self.metrics.ops.hashes += ids.len() as u64;
         }
@@ -813,6 +810,8 @@ impl PagNode {
 
         // Fresh (payload-carrying) updates: check integrity (stands in for
         // the source signature of §III) and classify per declared flags.
+        // Their residues are kept for the store below.
+        let mut residues = Vec::with_capacity(fresh.len());
         for u in &fresh {
             if u.payload.as_ref() != synthetic_payload(session, u.id).as_slice() {
                 return; // tampered payload: refuse the exchange
@@ -823,6 +822,7 @@ impl PagNode {
             let residue = shared.params.residue(&u.payload);
             let slot = if u.expiring { 0 } else { 1 };
             prods.mul(slot, &residue, u.count);
+            residues.push(residue);
         }
         // Referenced (already-owned) updates.
         let bm_ids = self.buffermaps_sent.get(&(round, from));
@@ -833,7 +833,7 @@ impl PagNode {
             let Some(u) = self.store.get(*id) else {
                 return;
             };
-            prods.mul(2, &u.residue, r.count);
+            prods.mul(2, u.residue.value(), r.count);
         }
         let prods = prods.finish();
 
@@ -859,17 +859,14 @@ impl PagNode {
         ctx.metric(MetricEvent::ExchangeCompleted { round });
 
         // Deliver payloads and record forwarding obligations.
-        for u in fresh {
+        let prime_bits = shared.config.crypto.prime_bits;
+        for (u, residue) in fresh.into_iter().zip(residues) {
             if self.metrics.record_delivery(u.id, round) {
                 ctx.metric(MetricEvent::Delivered { update: u.id, round });
             }
-            self.store.insert_parts(
-                &self.shared.params,
-                u.id,
-                u.created_round,
-                u.payload,
-                round,
-            );
+            self.store.insert_parts(u.id, u.created_round, u.payload, round, || {
+                shared.params.stored_residue(residue, prime_bits)
+            });
             if !u.expiring {
                 *self
                     .received_fresh
@@ -981,14 +978,14 @@ impl PagNode {
             if !self.strategy_keeps(item) {
                 continue;
             }
-            let h = shared.params.hash_residue(&item.residue, &prime);
+            let h = item.residue.hash(&shared.params, &prime);
             hash_ops += 1;
             if let Some(&idx) = bm_index.get(h.value()) {
                 refs.push(ServedRef {
                     index: idx,
                     count: item.count,
                 });
-                prods.mul(2, &item.residue, item.count);
+                prods.mul(2, item.residue.value(), item.count);
             } else {
                 let expiring = round + 1 >= item.created_round + lifetime;
                 fresh.push(ServedUpdate {
@@ -999,7 +996,7 @@ impl PagNode {
                     expiring,
                 });
                 let slot = if expiring { 0 } else { 1 };
-                prods.mul(slot, &item.residue, item.count);
+                prods.mul(slot, item.residue.value(), item.count);
             }
         }
         let prods = prods.finish();
@@ -1064,7 +1061,7 @@ impl PagNode {
                     .get(&round)
                     .into_iter()
                     .flatten()
-                    .filter_map(|(&id, &c)| self.store.get(id).map(|u| (u.residue.as_ref(), c))),
+                    .filter_map(|(&id, &c)| self.store.get(id).map(|u| (u.residue.value(), c))),
             );
             let (k, _) = self.k_of_round(round);
             self.metrics.ops.hashes += 1;

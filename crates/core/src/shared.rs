@@ -10,7 +10,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use pag_crypto::sha256::Sha256;
-use pag_crypto::{HomomorphicParams, Keyring, Signature, SigningMode};
+use pag_crypto::{HomomorphicParams, Keyring, Signature};
 use pag_membership::{Membership, NodeId, RoundTopology};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -150,7 +150,7 @@ impl SharedContext {
                 .iter()
                 .map(|&id| NodeSigner::node_seed(session, id))
                 .collect();
-            let keyrings = Keyring::from_seeds(&seeds, config.crypto.rsa_bits, SigningMode::Rsa);
+            let keyrings = Keyring::from_seeds(&seeds, config.crypto.rsa_bits);
             roster
                 .iter()
                 .zip(keyrings)
@@ -290,6 +290,48 @@ mod tests {
         let msg = ctx.sign(NodeId(1), MessageBody::KeyRequest { round: 0 });
         assert!(ctx.verify(NodeId(1), &msg));
         assert!(!ctx.verify(NodeId(2), &msg));
+    }
+
+    #[test]
+    fn mac_tag_roundtrip() {
+        let signer = NodeSigner::derive_mac(2, NodeId(5), 256);
+        let sig = signer.sign(b"msg");
+        assert_eq!(sig.len(), 256, "wire size matches RSA-2048");
+        assert!(signer.verify(b"msg", &sig));
+        assert!(!signer.verify(b"other", &sig));
+    }
+
+    #[test]
+    fn mac_tags_are_keyed() {
+        let a = NodeSigner::derive_mac(3, NodeId(1), 64);
+        let b = NodeSigner::derive_mac(3, NodeId(2), 64);
+        let sig = a.sign(b"msg");
+        assert!(!b.verify(b"msg", &sig), "different secret, different tag");
+    }
+
+    proptest::proptest! {
+        /// A keyed-hash tag has the wire length asked for and verifies
+        /// only under its owner's secret, and only for the signed bytes.
+        #[test]
+        fn mac_tag_verifies_only_under_its_owners_secret(
+            msg in proptest::collection::vec(proptest::prelude::any::<u8>(), 0..128),
+            session in proptest::prelude::any::<u64>(),
+            a in proptest::prelude::any::<u32>(),
+            b in proptest::prelude::any::<u32>(),
+            len in 32usize..=512, // at least the whole digest: no chance collisions
+        ) {
+            let owner = NodeSigner::derive_mac(session, NodeId(a), len);
+            let sig = owner.sign(&msg);
+            proptest::prop_assert_eq!(sig.len(), len);
+            proptest::prop_assert!(owner.verify(&msg, &sig));
+            let mut other_msg = msg.clone();
+            other_msg.push(0);
+            proptest::prop_assert!(!owner.verify(&other_msg, &sig));
+            if a != b {
+                let other = NodeSigner::derive_mac(session, NodeId(b), len);
+                proptest::prop_assert!(!other.verify(&msg, &sig));
+            }
+        }
     }
 
     #[test]

@@ -3,8 +3,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pag_bignum::BigUint;
-use pag_crypto::HomomorphicParams;
+use pag_crypto::StoredResidue;
 
 /// Identifier of an update: its sequence number in the source stream.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -33,8 +32,9 @@ pub struct StoredUpdate {
     /// governed by `WireConfig::update_payload`.
     pub payload: Arc<[u8]>,
     /// Cached residue `payload mod M`, shared with the products computed
-    /// over it.
-    pub residue: Arc<BigUint>,
+    /// over it, and — while the update is inside the buffermap window —
+    /// its power table for hashing under each round's fresh primes.
+    pub residue: StoredResidue,
     /// Round this node first obtained the update.
     pub first_received_round: u64,
 }
@@ -91,25 +91,25 @@ impl UpdateStore {
         true
     }
 
-    /// Builds an update from raw parts and inserts it.
+    /// Builds an update from raw parts and inserts it. `residue` runs
+    /// only for an update not yet owned, so a duplicate never pays for
+    /// a power table.
     pub fn insert_parts(
         &mut self,
-        params: &HomomorphicParams,
         id: UpdateId,
         created_round: u64,
         payload: impl Into<Arc<[u8]>>,
         received_round: u64,
+        residue: impl FnOnce() -> StoredResidue,
     ) -> bool {
         if self.updates.contains_key(&id) {
             return false;
         }
-        let payload = payload.into();
-        let residue = Arc::new(params.residue(&payload));
         self.insert(StoredUpdate {
             id,
             created_round,
-            payload,
-            residue,
+            payload: payload.into(),
+            residue: residue(),
             first_received_round: received_round,
         })
     }
@@ -132,6 +132,18 @@ impl UpdateStore {
         before - self.updates.len()
     }
 
+    /// Drops the power tables of updates first received before round
+    /// `before`: they left the buffermap window, so no buffermap or
+    /// serve set hashes them any more. Bounds the tables to one per
+    /// update of the window.
+    pub fn release_tables(&mut self, before: u64) {
+        for u in self.updates.values_mut() {
+            if u.first_received_round < before {
+                u.residue.drop_table();
+            }
+        }
+    }
+
     /// Iterates over all owned updates in id order.
     pub fn iter(&self) -> impl Iterator<Item = &StoredUpdate> {
         self.updates.values()
@@ -144,6 +156,11 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    use pag_bignum::BigUint;
+    use pag_crypto::HomomorphicParams;
+
+    const PRIME_BITS: usize = 24;
+
     fn params() -> HomomorphicParams {
         let mut rng = StdRng::seed_from_u64(5);
         HomomorphicParams::generate(64, &mut rng)
@@ -154,7 +171,8 @@ mod tests {
         let mut s = UpdateStore::new();
         for &(id, created, received) in entries {
             let payload = synthetic_payload(1, UpdateId(id));
-            assert!(s.insert_parts(params, UpdateId(id), created, payload, received));
+            let residue = params.stored_residue(params.residue(&payload), PRIME_BITS);
+            assert!(s.insert_parts(UpdateId(id), created, payload, received, || residue));
         }
         s
     }
@@ -164,8 +182,23 @@ mod tests {
         let p = params();
         let mut s = store_with(&p, &[(1, 0, 0)]);
         assert!(s.contains(UpdateId(1)));
-        assert!(!s.insert_parts(&p, UpdateId(1), 0, vec![1], 5), "duplicate");
+        let dup = s.insert_parts(UpdateId(1), 0, vec![1], 5, || unreachable!("owned already"));
+        assert!(!dup, "duplicate");
         assert_eq!(s.len(), 1);
+    }
+
+    #[test]
+    fn release_tables_keeps_the_window_and_the_values() {
+        let p = params();
+        let mut s = store_with(&p, &[(1, 0, 0), (2, 1, 1), (3, 2, 2), (4, 3, 3)]);
+        s.release_tables(2);
+        let exp = BigUint::from(16_777_213u64); // 24 bits
+        for u in s.iter() {
+            let in_window = u.first_received_round >= 2;
+            assert_eq!(u.residue.has_table(), in_window, "{}", u.id);
+            let expected = p.hash_residue(&p.residue(&u.payload), &exp);
+            assert_eq!(u.residue.hash(&p, &exp), expected, "{}", u.id);
+        }
     }
 
     #[test]
@@ -199,6 +232,6 @@ mod tests {
         let p = params();
         let s = store_with(&p, &[(9, 0, 0)]);
         let u = s.get(UpdateId(9)).unwrap();
-        assert_eq!(*u.residue, p.residue(&u.payload));
+        assert_eq!(u.residue.value(), &p.residue(&u.payload));
     }
 }

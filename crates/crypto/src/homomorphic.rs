@@ -14,8 +14,9 @@
 //! the updates or the individual primes (§V-B/C).
 
 use std::borrow::Cow;
+use std::sync::Arc;
 
-use pag_bignum::{gen_prime, BigUint, MontAccumulator, Montgomery};
+use pag_bignum::{gen_prime, BigUint, FixedBaseTable, MontAccumulator, Montgomery};
 use rand::Rng;
 
 use crate::error::CryptoError;
@@ -82,6 +83,53 @@ impl HomomorphicHash {
     /// Panics if the value does not fit in `len` bytes.
     pub fn to_bytes(&self, len: usize) -> Vec<u8> {
         self.value.to_bytes_be_padded(len)
+    }
+}
+
+/// A residue hashed under many exponents: `u mod M` together with, while
+/// its holder still needs it, the fixed-base power table that hashes it
+/// under any exponent of up to the table's width without squarings.
+///
+/// A PAG node hashes each update it holds under every predecessor's
+/// fresh prime for its buffermaps and under every successor's prime for
+/// its serve sets; the table turns each of those exponentiations into
+/// about `bits / w + 2^w` multiplications. Clones share the value and
+/// the table.
+#[derive(Clone, Debug)]
+pub struct StoredResidue {
+    value: Arc<BigUint>,
+    table: Option<Arc<FixedBaseTable>>,
+}
+
+impl StoredResidue {
+    /// The residue `u mod M`.
+    pub fn value(&self) -> &BigUint {
+        &self.value
+    }
+
+    /// True while the power table is held.
+    pub fn has_table(&self) -> bool {
+        self.table.is_some()
+    }
+
+    /// Releases this handle's power table; hashes stay correct and take
+    /// [`HomomorphicParams::hash_residue`]'s path from then on.
+    pub fn drop_table(&mut self) {
+        self.table = None;
+    }
+
+    /// `H(u)_(exp,M)`: from the table when it covers `exp`, otherwise
+    /// (the table was dropped, or `exp` is wider than the table — a
+    /// hostile prime off the wire) by [`HomomorphicParams::hash_residue`].
+    /// Either way the value is the same, `u^exp mod M` being unique.
+    ///
+    /// `params` must be the parameters that built this residue.
+    pub fn hash(&self, params: &HomomorphicParams, exp: &BigUint) -> HomomorphicHash {
+        let table = self.table.as_deref();
+        match table.and_then(|t| params.mont.pow_fixed(t, exp)) {
+            Some(value) => HomomorphicHash { value },
+            None => params.hash_residue(&self.value, exp),
+        }
     }
 }
 
@@ -159,6 +207,20 @@ impl HomomorphicParams {
     /// size of updates"), so this reduction loses information by design.
     pub fn residue(&self, update: &[u8]) -> BigUint {
         BigUint::from_bytes_be(update) % &self.modulus
+    }
+
+    /// Wraps a residue (`< M`) for repeated hashing, with a power table
+    /// covering exponents of up to `exp_bits` bits. The caller takes the
+    /// width from its own configuration, never from a peer's message.
+    /// No table is built past a machine word (`exp_bits > 64`, the
+    /// paper profile's 512-bit primes): such residues always hash by
+    /// [`Self::hash_residue`].
+    pub fn stored_residue(&self, residue: BigUint, exp_bits: usize) -> StoredResidue {
+        let table = self.mont.fixed_base_table(&residue, exp_bits).map(Arc::new);
+        StoredResidue {
+            value: Arc::new(residue),
+            table,
+        }
     }
 
     /// Hashes raw update bytes under exponent `exp`: `H(u)_(exp,M)`.
@@ -453,6 +515,36 @@ mod tests {
         let h = params.hash(b"x", &BigUint::from(3u64));
         let bytes = h.to_bytes(params.hash_len());
         assert_eq!(bytes.len(), params.hash_len());
+    }
+
+    #[test]
+    fn stored_residue_hashes_like_hash_residue() {
+        let mut rng = StdRng::seed_from_u64(31);
+        // The simulation and real-crypto profiles, and the paper's
+        // 512-bit primes, for which no table is built.
+        for (bits, prime_bits) in [(96, 24), (512, 64), (128, 512)] {
+            let params = HomomorphicParams::generate(bits, &mut rng);
+            let residue = params.residue(b"a stored update");
+            let mut stored = params.stored_residue(residue.clone(), prime_bits);
+            assert_eq!(stored.has_table(), prime_bits <= 64);
+            let primes = [
+                gen_prime(prime_bits, &mut rng),
+                gen_prime(prime_bits / 2, &mut rng),
+                BigUint::one(),
+                BigUint::zero(),
+                // Wider than the table, up to a hostile wire-width "prime".
+                gen_prime(prime_bits + 1, &mut rng),
+                gen_prime(512, &mut rng),
+            ];
+            for p in &primes {
+                let expected = params.hash_residue(&residue, p);
+                assert_eq!(stored.hash(&params, p), expected, "{bits}/{p}");
+            }
+            stored.drop_table();
+            assert!(!stored.has_table());
+            let expected = params.hash_residue(&residue, &primes[0]);
+            assert_eq!(stored.hash(&params, &primes[0]), expected);
+        }
     }
 
     #[test]

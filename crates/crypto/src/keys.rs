@@ -1,60 +1,34 @@
-//! Per-node key material and a fast signing mode for large simulations.
+//! Per-node key material.
 //!
-//! A [`Keyring`] bundles everything a PAG node needs: its RSA key pair and
-//! the shared homomorphic parameters. For simulations with hundreds of
-//! nodes, [`SigningMode::Fast`] replaces RSA signatures by keyed-hash tags
-//! of the same wire size — protocol logic, message flow and bandwidth are
-//! unchanged while CPU cost drops by orders of magnitude (the deviations
-//! PAG detects are protocol-level, not signature forgeries; real-RSA runs
-//! are covered by dedicated tests and benches).
+//! A [`Keyring`] holds a node's RSA key pair, derived deterministically
+//! from a per-node seed so every consumer of a roster re-derives the same
+//! keys. (Large simulations sign with keyed-hash tags instead; those live
+//! with the protocol's signer, `pag_core::shared::NodeSigner::Mac`.)
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::rsa::{RsaKeyPair, RsaPublicKey};
-use crate::sha256::Sha256;
 use crate::signature::{self, Signature};
-
-/// How a [`Keyring`] produces and checks signatures.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum SigningMode {
-    /// Real RSA signatures (hash-then-sign, PKCS#1 v1.5 style).
-    Rsa,
-    /// Keyed SHA-256 tags padded to `fast_len` bytes: cryptographically a
-    /// MAC, wire-compatible with an RSA signature of that length.
-    Fast {
-        /// Wire length of the emitted tag, normally
-        /// [`crate::sizes::SIGNATURE_BYTES`].
-        fast_len: usize,
-    },
-}
 
 /// Key material held by one node.
 #[derive(Clone, Debug)]
 pub struct Keyring {
     keypair: RsaKeyPair,
-    mode: SigningMode,
-    /// Secret for fast-mode tags.
-    mac_secret: [u8; 32],
 }
 
 impl Keyring {
     /// Generates a keyring with a fresh RSA key pair of `rsa_bits` bits.
-    pub fn generate<R: Rng + ?Sized>(rsa_bits: usize, mode: SigningMode, rng: &mut R) -> Self {
-        let keypair = RsaKeyPair::generate(rsa_bits, rng);
-        let mut mac_secret = [0u8; 32];
-        rng.fill(&mut mac_secret);
+    pub fn generate<R: Rng + ?Sized>(rsa_bits: usize, rng: &mut R) -> Self {
         Keyring {
-            keypair,
-            mode,
-            mac_secret,
+            keypair: RsaKeyPair::generate(rsa_bits, rng),
         }
     }
 
     /// Deterministically derives a keyring from a seed (reproducible
     /// simulations assign one seed per node).
     ///
-    /// Derivation is a pure function of `(seed, rsa_bits, mode)`, so
+    /// Derivation is a pure function of `(seed, rsa_bits)`, so
     /// the result is memoized process-wide: every consumer of the same
     /// roster — a crash-restarted worker rejoining its session, the
     /// second session multiplexed on one `pag-host`, each scenario of a
@@ -63,25 +37,21 @@ impl Keyring {
     /// roster of pure recomputation). The cache is capped and cleared
     /// wholesale on overflow; rosters are derived in bulk, so partial
     /// eviction would buy nothing.
-    pub fn from_seed(seed: u64, rsa_bits: usize, mode: SigningMode) -> Self {
+    pub fn from_seed(seed: u64, rsa_bits: usize) -> Self {
         use std::collections::HashMap;
         use std::sync::Mutex;
 
         const CACHE_CAP: usize = 4096;
-        type Key = (u64, usize, u8, usize);
-        static CACHE: Mutex<Option<HashMap<Key, Keyring>>> = Mutex::new(None);
+        static CACHE: Mutex<Option<HashMap<(u64, usize), Keyring>>> = Mutex::new(None);
 
-        let key = match mode {
-            SigningMode::Rsa => (seed, rsa_bits, 0u8, 0usize),
-            SigningMode::Fast { fast_len } => (seed, rsa_bits, 1u8, fast_len),
-        };
+        let key = (seed, rsa_bits);
         if let Ok(guard) = CACHE.lock() {
             if let Some(hit) = guard.as_ref().and_then(|c| c.get(&key)) {
                 return hit.clone();
             }
         }
         let mut rng = StdRng::seed_from_u64(seed);
-        let fresh = Self::generate(rsa_bits, mode, &mut rng);
+        let fresh = Self::generate(rsa_bits, &mut rng);
         if let Ok(mut guard) = CACHE.lock() {
             let cache = guard.get_or_insert_with(HashMap::new);
             if cache.len() >= CACHE_CAP {
@@ -98,10 +68,10 @@ impl Keyring {
     /// Each derivation is a pure function of its seed, so the keys and
     /// the memo's contents are those the sequential loop produces; only
     /// the wall clock of a cold thousand-node RSA roster changes.
-    pub fn from_seeds(seeds: &[u64], rsa_bits: usize, mode: SigningMode) -> Vec<Self> {
+    pub fn from_seeds(seeds: &[u64], rsa_bits: usize) -> Vec<Self> {
         let derive = |part: &[u64]| -> Vec<Self> {
             part.iter()
-                .map(|&seed| Self::from_seed(seed, rsa_bits, mode))
+                .map(|&seed| Self::from_seed(seed, rsa_bits))
                 .collect()
         };
         let workers = std::thread::available_parallelism()
@@ -132,43 +102,18 @@ impl Keyring {
         &self.keypair
     }
 
-    /// The signing mode in effect.
-    pub fn mode(&self) -> SigningMode {
-        self.mode
-    }
-
-    /// Signs a message according to the signing mode.
+    /// Signs a message with the RSA key pair.
     pub fn sign(&self, message: &[u8]) -> Signature {
-        match self.mode {
-            SigningMode::Rsa => signature::sign(&self.keypair, message),
-            SigningMode::Fast { fast_len } => {
-                let mut h = Sha256::new();
-                h.update(&self.mac_secret);
-                h.update(message);
-                let digest = h.finalize();
-                let mut bytes = vec![0u8; fast_len];
-                for (i, byte) in bytes.iter_mut().enumerate() {
-                    *byte = digest[i % digest.len()];
-                }
-                Signature::from_bytes(bytes)
-            }
-        }
+        signature::sign(&self.keypair, message)
     }
 
     /// Verifies a signature produced by this keyring's owner.
-    ///
-    /// In fast mode only the owner can verify (it is a MAC); the simulator
-    /// routes verification through the signer's keyring, which models the
-    /// paper's "everyone can verify" with zero wire-size difference.
     pub fn verify_own(&self, message: &[u8], sig: &Signature) -> bool {
-        match self.mode {
-            SigningMode::Rsa => signature::verify(self.keypair.public(), message, sig),
-            SigningMode::Fast { .. } => &self.sign(message) == sig,
-        }
+        signature::verify(self.keypair.public(), message, sig)
     }
 }
 
-/// Verifies a signature given only a public key (RSA mode).
+/// Verifies a signature given only a public key.
 pub fn verify_with_public(public: &RsaPublicKey, message: &[u8], sig: &Signature) -> bool {
     signature::verify(public, message, sig)
 }
@@ -179,7 +124,7 @@ mod tests {
 
     #[test]
     fn rsa_mode_roundtrip() {
-        let kr = Keyring::from_seed(1, 512, SigningMode::Rsa);
+        let kr = Keyring::from_seed(1, 512);
         let sig = kr.sign(b"msg");
         assert!(kr.verify_own(b"msg", &sig));
         assert!(!kr.verify_own(b"other", &sig));
@@ -187,41 +132,23 @@ mod tests {
     }
 
     #[test]
-    fn fast_mode_roundtrip() {
-        let kr = Keyring::from_seed(2, 512, SigningMode::Fast { fast_len: 256 });
-        let sig = kr.sign(b"msg");
-        assert_eq!(sig.len(), 256, "wire size matches RSA-2048");
-        assert!(kr.verify_own(b"msg", &sig));
-        assert!(!kr.verify_own(b"other", &sig));
-    }
-
-    #[test]
-    fn fast_mode_tags_are_keyed() {
-        let a = Keyring::from_seed(3, 512, SigningMode::Fast { fast_len: 64 });
-        let b = Keyring::from_seed(4, 512, SigningMode::Fast { fast_len: 64 });
-        let sig = a.sign(b"msg");
-        assert!(!b.verify_own(b"msg", &sig), "different secret, different tag");
-    }
-
-    #[test]
     fn bulk_derivation_matches_one_by_one() {
         let seeds: Vec<u64> = (900..907).collect();
-        let bulk = Keyring::from_seeds(&seeds, 384, SigningMode::Rsa);
+        let bulk = Keyring::from_seeds(&seeds, 384);
         assert_eq!(bulk.len(), seeds.len());
         for (kr, &seed) in bulk.iter().zip(&seeds) {
             // Derived without the memo the bulk call just filled.
-            let single =
-                Keyring::generate(384, SigningMode::Rsa, &mut StdRng::seed_from_u64(seed));
+            let single = Keyring::generate(384, &mut StdRng::seed_from_u64(seed));
             assert_eq!(kr.public().modulus(), single.public().modulus());
             assert_eq!(kr.sign(b"m"), single.sign(b"m"));
         }
-        assert!(Keyring::from_seeds(&[], 384, SigningMode::Rsa).is_empty());
+        assert!(Keyring::from_seeds(&[], 384).is_empty());
     }
 
     #[test]
     fn deterministic_derivation() {
-        let a = Keyring::from_seed(7, 256, SigningMode::Rsa);
-        let b = Keyring::from_seed(7, 256, SigningMode::Rsa);
+        let a = Keyring::from_seed(7, 256);
+        let b = Keyring::from_seed(7, 256);
         assert_eq!(a.public().modulus(), b.public().modulus());
     }
 }

@@ -12,8 +12,7 @@
 //! * [`encrypt`] — hybrid public-key encryption (`{m}_pk(X)`).
 //! * [`homomorphic`] — the hash `H(u)_(p,M) = u^p mod M` with both
 //!   multiplicative properties and the monitors' verification equation.
-//! * [`keys`] — per-node keyrings with an optional fast signing mode for
-//!   large simulations.
+//! * [`keys`] — per-node RSA keyrings derived from seeds.
 //! * [`sizes`] — the wire-size constants of the paper's deployment
 //!   (938-byte updates, RSA-2048 signatures, 512-bit hashes and primes).
 //!
@@ -55,7 +54,7 @@ pub mod signature;
 pub mod sizes;
 
 pub use error::CryptoError;
-pub use homomorphic::{HomomorphicHash, HomomorphicParams};
-pub use keys::{Keyring, SigningMode};
+pub use homomorphic::{HomomorphicHash, HomomorphicParams, StoredResidue};
+pub use keys::Keyring;
 pub use rsa::{RsaKeyPair, RsaPublicKey};
 pub use signature::Signature;

@@ -4,7 +4,6 @@
 
 use pag_bignum::BigUint;
 use pag_crypto::homomorphic::HomomorphicParams;
-use pag_crypto::keys::{Keyring, SigningMode};
 use pag_crypto::sha256::sha256;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
@@ -93,21 +92,6 @@ proptest! {
             let mut flipped = data.clone();
             flipped[0] ^= 1;
             prop_assert_ne!(d1, sha256(&flipped));
-        }
-    }
-
-    #[test]
-    fn fast_signatures_verify_only_with_owner(
-        msg in proptest::collection::vec(any::<u8>(), 0..128),
-        seed_a in any::<u64>(),
-        seed_b in any::<u64>(),
-    ) {
-        let a = Keyring::from_seed(seed_a, 512, SigningMode::Fast { fast_len: 64 });
-        let sig = a.sign(&msg);
-        prop_assert!(a.verify_own(&msg, &sig));
-        if seed_a != seed_b {
-            let b = Keyring::from_seed(seed_b, 512, SigningMode::Fast { fast_len: 64 });
-            prop_assert!(!b.verify_own(&msg, &sig));
         }
     }
 }

@@ -35,6 +35,7 @@
 //! deliveries, traffic and crypto ops are bit-identical to the same
 //! session run standalone — the host suite pins this.
 
+#![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod host;

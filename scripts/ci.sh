@@ -6,7 +6,9 @@
 #      recompiled alone against the warm cache and any warning fails
 #      the gate)
 #   3. clippy over the whole workspace, warnings denied (DESIGN.md §15)
-#   4. source lint: no `unwrap()` in pag-runtime / pag-host sources,
+#   4. source lint: every first-party crate root carries
+#      `#![forbid(unsafe_code)]` (hot paths stay portable: no SIMD or
+#      SHA intrinsics); no `unwrap()` in pag-runtime / pag-host sources,
 #      and `expect(` stays at or below the audited baseline — new
 #      panic sites need an explicit baseline bump in this script
 #   5. full test suite, each suite once (unit, integration, doctests,
@@ -85,7 +87,13 @@ done
 step 3 "clippy, deny warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
-step 4 "panic-site source lint (pag-runtime, pag-host)"
+step 4 "source lint: forbid(unsafe_code) everywhere, panic sites in pag-runtime/pag-host"
+unsafe_allowed=$(grep -L '^#!\[forbid(unsafe_code)\]' src/lib.rs crates/*/src/lib.rs crates/compat/*/src/lib.rs || true)
+if [ -n "$unsafe_allowed" ]; then
+    echo "crate roots without #![forbid(unsafe_code)]:" >&2
+    echo "$unsafe_allowed" >&2
+    exit 1
+fi
 # unwrap() carries no diagnostic; the gated crates use expect() with a
 # message (or structured errors) instead. expect() is allowed but
 # audited: the count may only go down without an explicit bump here.

@@ -1,5 +1,7 @@
 //! Umbrella crate for the PAG reproduction. Re-exports the workspace crates.
 
+#![forbid(unsafe_code)]
+
 pub use pag_analysis as analysis;
 pub use pag_baselines as baselines;
 pub use pag_bignum as bignum;
